@@ -14,14 +14,13 @@ from itertools import combinations
 import sympy
 
 from . import embeddings, graphs, minors, vortex
-from .embeddings import FacialWalk, MultiEmbedding
+from .embeddings import MultiEmbedding
 from .errors import (
     FacesDontCoverVertices,
     FacesNotDisjoint,
     GenusOutOfCatalog,
     GZero,
     KTooSmall,
-    MalformedRotation,
 )
 from .graphs import SimpleGraph
 from .minors import MinorModel
@@ -65,68 +64,6 @@ def verify_certificate(cert: ConstructionCertificate) -> Report:
 
 # ------------------------------------------------------------ core pipeline
 
-def _image_faces(before: MultiEmbedding, after: MultiEmbedding, faces, k: int):
-    """Faces of the edge-multiplied embedding corresponding to the inputs.
-
-    The copies of a dart occupy a contiguous block in the rotation; the face
-    on side +1 of the old dart is the face on side +1 of the last block dart,
-    and side -1 maps to the first block dart.  Each input face is found by
-    propagating one of its states this way and locating the traced face whose
-    boundary circle contains the propagated state.
-    """
-    replacement = {}
-    for rank, e in enumerate(sorted(before.edges)):
-        edge = before.edges[e]
-        a, b = edge.ends
-        small_end = 0 if a < b else 1
-        copies = list(range(rank * k * k, (rank + 1) * k * k))
-        small_darts = [(c, small_end) for c in copies]
-        big_darts = [(c, 1 - small_end) for c in copies]
-        if edge.sign == 1:
-            big_darts = list(reversed(big_darts))
-        replacement[(e, small_end)] = small_darts
-        replacement[(e, 1 - small_end)] = big_darts
-
-    traced = embeddings.trace_faces(after)
-    images = []
-    for walk in faces:
-        e, end, side = walk.states[0]
-        block = replacement[(e, end)]
-        ce, cend = block[-1] if side == 1 else block[0]
-        target = (ce, cend, side)
-        hits = [
-            f
-            for f in traced
-            if target in f.states
-            or target in {embeddings._arc_shift(after, s) for s in f.states}
-        ]
-        if len(hits) != 1:
-            raise MalformedRotation(
-                f"face {walk.vertices} has {len(hits)} images after edge multiplication"
-            )
-        images.append(hits[0])
-    return images
-
-
-def _split_image(h0: MultiEmbedding, image: FacialWalk) -> FacialWalk:
-    """The face of the split embedding descending from `image`: the unique
-    traced face still carrying all of the image walk's edges.  When nothing
-    on the face was split, ties are broken by exact state overlap."""
-    want = {e for _, e in image.incidences}
-    hits = [
-        f
-        for f in embeddings.trace_faces(h0)
-        if want <= {e for _, e in f.incidences}
-    ]
-    if len(hits) > 1:
-        hits = [f for f in hits if set(f.states) & set(image.states)]
-    if len(hits) != 1:
-        raise MalformedRotation(
-            f"face with edges {sorted(want)} has {len(hits)} images after splitting"
-        )
-    return hits[0]
-
-
 def construct_vortex_graph(
     emb: MultiEmbedding, faces, k: int
 ) -> tuple[AlmostEmbeddable, MinorModel]:
@@ -154,7 +91,15 @@ def construct_vortex_graph(
 
     base_graph = embeddings.underlying_simple(emb)
     multiplied = embeddings.multiply_edges(emb, k)
-    images = _image_faces(emb, multiplied, faces, k)
+    # The face on side +1 of an old dart is the face on side +1 of the last
+    # dart of its copy block, and side -1 maps to the first block dart.
+    blocks = embeddings.copy_blocks(emb, k)
+    images = []
+    for walk in faces:
+        e, end, side = walk.states[0]
+        block = blocks[(e, end)]
+        ce, cend = block[-1] if side == 1 else block[0]
+        images.append(embeddings.face_through(multiplied, (ce, cend, side)))
 
     # remember, per copy, its (i, j) label and its ascending-order endpoints
     copy_info = {}
@@ -168,10 +113,11 @@ def construct_vortex_graph(
         )
 
     h0 = embeddings.split_at_faces(multiplied, images)
-    disc_faces = [_split_image(h0, img) for img in images]
+    # splitting keeps every state of a split face on that face
+    disc_faces = [embeddings.face_through(h0, img.states[0]) for img in images]
 
     vortices = []
-    for walk, image, face_set in zip(disc_faces, images, face_vertex_sets):
+    for walk, face_set in zip(disc_faces, face_vertex_sets):
         perimeter = tuple(h0.vertex_labels[v] for v in walk.vertices)
         owners = [embeddings.owner_label(lab) for lab in perimeter]
         face_labels = sorted(

@@ -168,6 +168,19 @@ def _walk_from_states(emb: MultiEmbedding, states) -> FacialWalk:
     return FacialWalk(tuple(states), incidences)
 
 
+def face_through(emb: MultiEmbedding, state) -> FacialWalk:
+    """The face whose boundary circle carries the dart-side `state`: the
+    walk of whichever of the circle's two orbits holds the smallest state,
+    started at that state."""
+    orbit = _orbit(emb, state)
+    partner = _orbit(emb, _arc_shift(emb, state))
+    if set(orbit) & set(partner) or len(orbit) != len(partner):
+        raise MalformedRotation("inconsistent facial orbits")
+    chosen = orbit if min(orbit) <= min(partner) else partner
+    j = chosen.index(min(chosen))
+    return _walk_from_states(emb, chosen[j:] + chosen[:j])
+
+
 def trace_faces(emb: MultiEmbedding) -> tuple[FacialWalk, ...]:
     """All facial walks, deterministically ordered.
 
@@ -183,17 +196,11 @@ def trace_faces(emb: MultiEmbedding) -> tuple[FacialWalk, ...]:
     for start in all_states:
         if start in visited:
             continue
-        orbit = _orbit(emb, start)
-        partner = _orbit(emb, _arc_shift(emb, start))
-        if set(orbit) & set(partner) or len(orbit) != len(partner):
-            raise MalformedRotation("inconsistent facial orbits")
-        visited.update(orbit)
-        visited.update(partner)
-        chosen = orbit if min(orbit) <= min(partner) else partner
-        # rotate so the walk starts at its minimal state
-        j = chosen.index(min(chosen))
-        chosen = chosen[j:] + chosen[:j]
-        walks.append(_walk_from_states(emb, chosen))
+        walk = face_through(emb, start)
+        # the arc shift maps one orbit of a circle onto the other
+        visited.update(walk.states)
+        visited.update(_arc_shift(emb, s) for s in walk.states)
+        walks.append(walk)
     if sum(len(w) for w in walks) != 2 * emb.m:
         raise MalformedRotation("face tracing does not cover each edge twice")
     walks.sort(key=lambda w: w.incidences)
@@ -228,13 +235,6 @@ def _cycles_equal(a: Sequence, b: Sequence) -> bool:
     doubled_rev = rev + rev
     for i in range(len(a)):
         if doubled[i : i + len(a)] == b or doubled_rev[i : i + len(a)] == b:
-            return True
-    return False
-
-
-def is_facial_cycle(emb: MultiEmbedding, cycle: Sequence[int]) -> bool:
-    for walk in trace_faces(emb):
-        if walk.is_cycle and _cycles_equal(walk.vertices, cycle):
             return True
     return False
 
@@ -351,41 +351,44 @@ def delete_vertex(emb: MultiEmbedding, v: int) -> MultiEmbedding:
     return out
 
 
+def copy_blocks(emb: MultiEmbedding, k: int) -> dict[Dart, list[Dart]]:
+    """Where `multiply_edges(emb, k)` puts the copies of each dart.
+
+    The edge of rank r in ascending id order gets the copies r*k^2 ...
+    (r+1)*k^2 - 1.  They sit contiguously where the original edge-end sat,
+    in id order at the smaller endpoint; at the other endpoint the order is
+    reversed for positive-signature edges and kept for negative ones, so
+    that the copies bound bigons and the genus is unchanged.
+    """
+    blocks: dict[Dart, list[Dart]] = {}
+    for rank, e in enumerate(sorted(emb.edges)):
+        edge = emb.edges[e]
+        small_end = 0 if edge.ends[0] < edge.ends[1] else 1
+        copies = range(rank * k * k, (rank + 1) * k * k)
+        big_darts = [(c, 1 - small_end) for c in copies]
+        blocks[(e, small_end)] = [(c, small_end) for c in copies]
+        blocks[(e, 1 - small_end)] = big_darts[::-1] if edge.sign == 1 else big_darts
+    return blocks
+
+
 def multiply_edges(emb: MultiEmbedding, k: int) -> MultiEmbedding:
     """Replace every edge uv by k^2 parallel copies labeled (i, j), where i
-    indexes the endpoint with the smaller vertex id.
-
-    Copies sit contiguously where the original edge-end sat, in lexicographic
-    (i, j) order at the smaller endpoint; at the other endpoint the order is
-    reversed for positive-signature edges and kept for negative ones, so that
-    the copies bound bigons and the genus is unchanged.
-    """
+    indexes the endpoint with the smaller vertex id.  The copies are laid
+    out by `copy_blocks`, their ids ascending in lexicographic (i, j) order."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    blocks = copy_blocks(emb, k)
     edges: dict[int, EmbEdge] = {}
-    replacement: dict[Dart, list[Dart]] = {}
-    next_edge = 0
     for e in sorted(emb.edges):
         edge = emb.edges[e]
-        a, b = edge.ends
-        small_end = 0 if a < b else 1
-        copies = []
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                edges[next_edge] = EmbEdge(next_edge, edge.ends, edge.sign, (i, j))
-                copies.append(next_edge)
-                next_edge += 1
-        small_darts = [(c, small_end) for c in copies]
-        big_darts = [(c, 1 - small_end) for c in copies]
-        if edge.sign == 1:
-            big_darts = list(reversed(big_darts))
-        replacement[(e, small_end)] = small_darts
-        replacement[(e, 1 - small_end)] = big_darts
+        for n, (c, _) in enumerate(sorted(blocks[(e, 0)])):
+            i, j = divmod(n, k)
+            edges[c] = EmbEdge(c, edge.ends, edge.sign, (i + 1, j + 1))
     rotation = {}
     for v, rot in emb.rotation.items():
         new_rot: list[Dart] = []
         for dart in rot:
-            new_rot.extend(replacement[dart])
+            new_rot.extend(blocks[dart])
         rotation[v] = tuple(new_rot)
     out = MultiEmbedding(dict(emb.vertex_labels), edges, rotation)
     out.validate()

@@ -160,13 +160,22 @@ def structure_to_json(a) -> dict:
     }
 
 
+def _is_incidence(p) -> bool:
+    return isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)
+
+
 def structure_from_json(obj: dict):
     from .vortex import AlmostEmbeddable
 
     base = embedding_from_json(obj["base"])
     by_incidence = {w.incidences: w for w in embeddings.trace_faces(base)}
+    faces = obj["disc_faces"]
+    if not isinstance(faces, list) or not all(
+        isinstance(inc, list) and all(_is_incidence(p) for p in inc) for inc in faces
+    ):
+        raise ValueError("disc_faces is not a list of lists of [vertex, edge] pairs")
     disc_faces = []
-    for inc in obj["disc_faces"]:
+    for inc in faces:
         key = tuple((p[0], p[1]) for p in inc)
         if key not in by_incidence:
             raise ValueError("disc face is not a face of the stored base embedding")

@@ -50,20 +50,25 @@ def validate_circular(v: Vortex) -> Report:
     bad1 = [perim[i] for i in range(t) if perim[i] not in v.bags[i]]
     rep.add("property-1-own-bag", not bad1, bad1 or None)
 
-    in_some_bag = set().union(*v.bags) if v.bags else set()
-    bad2 = [lab for lab in labels if lab not in perim and lab not in in_some_bag]
+    # label -> ascending positions of the bags holding it
+    positions_of: dict = {}
+    for i, bag in enumerate(v.bags):
+        for lab in bag:
+            positions_of.setdefault(lab, []).append(i)
+
+    bad2 = [lab for lab in labels if lab not in perim and lab not in positions_of]
     rep.add("property-2-covers-vertices", not bad2, bad2 or None)
 
     bad3 = []
     for ui, wi in v.graph.edges():
         lu, lw = v.graph.labels[ui], v.graph.labels[wi]
-        if not any(lu in bag and lw in bag for bag in v.bags):
+        if set(positions_of.get(lu, ())).isdisjoint(positions_of.get(lw, ())):
             bad3.append((lu, lw))
     rep.add("property-3-covers-edges", not bad3, bad3 or None)
 
     bad4 = []
     for lab in sorted(labels, key=graphs.label_sort_key):
-        positions = [i for i in range(t) if lab in v.bags[i]]
+        positions = positions_of.get(lab)
         if not positions:
             continue
         # occurrences must be consecutive in the circular order
@@ -91,9 +96,12 @@ def vortex_width(v: Vortex) -> int:
         if first.name.startswith("property-"):
             idx = int(first.name.split("-")[1])
         raise InvalidDecomposition(str(first), property_index=idx)
-    if not v.bags:
-        return 0
-    return max(len(b) for b in v.bags) - 1
+    return _width(v)
+
+
+def _width(v: Vortex) -> int:
+    """Max bag cardinality minus one, and 0 without bags."""
+    return max((len(b) for b in v.bags), default=1) - 1
 
 
 @dataclass(frozen=True)
@@ -148,11 +156,11 @@ def validate_almost_embeddable(a: AlmostEmbeddable) -> Report:
     for i, (v, face) in enumerate(zip(a.vortices, a.disc_faces)):
         sub = validate_circular(v)
         rep.extend(sub, prefix=f"vortex-{i}-")
-        try:
-            width = vortex_width(v)
+        if sub.ok:
+            width = _width(v)
             rep.add(f"vortex-{i}-width", width <= k, width)
-        except InvalidDecomposition as exc:
-            rep.add(f"vortex-{i}-width", False, str(exc))
+        else:
+            rep.add(f"vortex-{i}-width", False, str(sub.failures[0]))
 
         shared = set(v.graph.labels) & base_labels
         rep.add(

@@ -117,3 +117,16 @@ def test_construct_is_deterministic(tmp_path, capsys):
     for out in (a, b):
         run(["construct", "--g", "1", "--p", "2", "--k", "3", "--a", "1", "--out", str(out)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("disc_faces", ["x", [["x"]]], ids=["string", "list-of-string"])
+def test_verify_malformed_disc_faces_exits_2(tmp_path, capsys, disc_faces):
+    cert = tmp_path / "cert.json"
+    run(["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(cert)], capsys)
+    obj = json.loads(cert.read_text())
+    obj["structure"]["disc_faces"] = disc_faces
+    cert.write_text(json.dumps(obj))
+    code, out, err = run(["verify", str(cert)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1

@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 import sympy
 
-from hadwiger import constructions, embeddings, graphs, minors, vortex
+from hadwiger import constructions, embeddings, graphs, minors, serialize, vortex
 from hadwiger.errors import (
     FacesDontCoverVertices,
     FacesNotDisjoint,
@@ -41,6 +43,27 @@ def test_vortex_graph_l2_inner_face():
     assert vortex.validate_almost_embeddable(structure).ok
     assert minors.verify_model(model).ok
     assert structure.params == (0, 1, 2, 0)
+
+
+def test_disc_faces_follow_input_faces():
+    emb, face = triangle_face()
+    grid = embeddings.grid_embedding(2)
+    cases = [
+        (emb, face, 1),
+        (emb, face, 2),
+        (grid, embeddings.find_facial_cycle(grid, [0, 1, 3, 2]), 2),
+    ]
+    for base, face, k in cases:
+        structure, _ = constructions.construct_vortex_graph(base, [face], k)
+        (disc,) = structure.disc_faces
+        assert disc in embeddings.trace_faces(structure.base)
+        owners = [
+            embeddings.owner_label(structure.base.vertex_labels[v]) for v in disc.vertices
+        ]
+        collapsed = [lab for i, lab in enumerate(owners) if lab != owners[i - 1]]
+        expected = [base.vertex_labels[v] for v in face.vertices]
+        rotations = [collapsed[i:] + collapsed[:i] for i in range(len(collapsed))]
+        assert expected in rotations, (collapsed, expected)
 
 
 def test_vortex_graph_rejects_partial_cover():
@@ -177,3 +200,26 @@ def test_with_apex_one_vortex_branch():
 def test_certificate_guarantee_is_exact():
     cert = constructions.with_apex(1, 1, 2, 3)
     assert cert.guarantee == 3 + sympy.Rational(1, 2) * sympy.sqrt(2)
+
+
+# SHA-256 of the serialized certificate of with_apex(g, p, k, a), pinned so
+# that a refactor of the construction cannot change certificate bytes
+# unnoticed.  The points cover many-vortex with one, four and nine vortices,
+# one-vortex on the K4, K6 (nonorientable) and K7 catalog entries, apexes,
+# and k = 3.
+PINNED_CERTIFICATES = {
+    (0, 1, 2, 1): "150c14e9e5070ec2c773896ca6dafee317b1d8bbc4791c54e692ecce6c742c62",
+    (0, 4, 2, 0): "65d646193cc867d547642bd997bd0b469b3bf255a9aab8527958af4abe7cb914",
+    (0, 9, 2, 0): "a2965f210d1cd4d30e4e72b1554cd418b890382038ed87676857c352cdf36a74",
+    (1, 1, 2, 0): "62a0c57d23bd6be2a6213febb85dbec225434af87969265c4e23b633722e1f42",
+    (2, 1, 2, 0): "7cd0d34ec1f36e8f64e7dd6b222d9311a3d765855aec5f174c0d0135fd3ff15f",
+    (5, 1, 2, 1): "a8e440c20cc7f2c3d1da1f787358f57f47d1c99ca77e9ebe8f4d879d289699c6",
+    (1, 1, 3, 0): "66700aa09299651e222102a46d192d6615e43f2a3a9f3280e48d0a55633a920b",
+}
+
+
+def test_certificate_bytes_are_pinned():
+    for point, digest in PINNED_CERTIFICATES.items():
+        cert = constructions.with_apex(*point)
+        text = serialize.dumps(serialize.certificate_to_json(cert))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, point

@@ -5,6 +5,7 @@ from hadwiger.embeddings import (
     CATALOG_MEMBERS,
     embedding_from_neighbors,
     euler_genus,
+    face_through,
     find_facial_cycle,
     grid_embedding,
     multiply_edges,
@@ -156,3 +157,16 @@ def test_underlying_simple_collapses_copies():
     big = multiply_edges(k4_embedding(), 3)
     simple = underlying_simple(big)
     assert simple.n == 4 and simple.m == 6
+
+
+def test_face_through_returns_the_face_of_every_state():
+    big = multiply_edges(k4_embedding(), 2)
+    split = split_at_faces(big, [next(w for w in trace_faces(big) if len(w) == 3)])
+    cases = [triangulation_catalog(m) for m in (4, 6, 7)] + [grid_embedding(3), split]
+    for emb in cases:
+        for walk in trace_faces(emb):
+            for e, end, side in walk.states:
+                # one band arc further along the same boundary circle
+                arrival = -side if emb.edges[e].sign == 1 else side
+                assert face_through(emb, (e, end, side)) == walk
+                assert face_through(emb, (e, 1 - end, arrival)) == walk

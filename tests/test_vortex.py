@@ -107,6 +107,26 @@ def test_tightened_declaration_fails_width():
     assert any("width" in c.name for c in rep.failures)
 
 
+def test_invalid_vortex_fails_width_with_first_circular_failure(monkeypatch):
+    import dataclasses
+
+    structure, _ = construction_structure()
+    v = structure.vortices[0]
+    evicted = Vortex(v.graph, v.perimeter, (v.bags[0] - {v.perimeter[0]},) + v.bags[1:])
+    broken = dataclasses.replace(structure, vortices=(evicted,))
+    first = vortex.validate_circular(evicted).failures[0]
+    assert first.name == "property-1-own-bag"
+
+    calls = []
+    real = vortex.validate_circular
+    monkeypatch.setattr(vortex, "validate_circular", lambda w: calls.append(w) or real(w))
+    rep = vortex.validate_almost_embeddable(broken)
+    width = next(c for c in rep.checks if c.name == "vortex-0-width")
+    assert not width.ok
+    assert width.witness == str(first)
+    assert calls == [evicted]
+
+
 def test_shared_vertex_between_vortices_rejected():
     structure, _ = construction_structure()
     import dataclasses
