@@ -7,11 +7,14 @@ they share a vertex or the host has an edge between them.  A multiplicity-1
 model is the classical notion: disjoint sets, one host edge per pattern edge.
 
 The oracles are exact and exponential; they refuse hosts above a vertex cap.
+`hadwiger_model` searches contractions depth first on bitmask quotients.  It
+prunes a state whose quotient has too few bags or too few edges for a clique
+larger than the best one found, and stops once that clique reaches the width
+of a min-degree elimination plus one, an upper bound on the Hadwiger number.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import graphs
 from .errors import BudgetExceeded, CapacityExceeded, SideInvalid
@@ -166,12 +169,17 @@ def compose_models(outer: MinorModel, inner: MinorModel) -> MinorModel:
 
 # ------------------------------------------------------------ oracles
 
-def max_clique(g: SimpleGraph) -> list[int]:
-    """One maximum clique, by pivoted Bron-Kerbosch on vertex bitmasks."""
+def _adj_masks(g: SimpleGraph) -> list[int]:
     adj = [0] * g.n
     for u, v in g.edges():
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+    return adj
+
+
+def _max_clique_masks(adj: list[int]) -> list[int]:
+    """Pivoted Bron-Kerbosch on adjacency masks; the first maximum clique
+    in its branching order, sorted."""
     best = []
 
     def expand(r: list[int], p: int, x: int):
@@ -193,8 +201,33 @@ def max_clique(g: SimpleGraph) -> list[int]:
             p &= ~(1 << v)
             x |= 1 << v
 
-    expand([], (1 << g.n) - 1 if g.n else 0, 0)
+    expand([], (1 << len(adj)) - 1, 0)
     return sorted(best)
+
+
+def max_clique(g: SimpleGraph) -> list[int]:
+    """One maximum clique, by pivoted Bron-Kerbosch on vertex bitmasks."""
+    return _max_clique_masks(_adj_masks(g))
+
+
+def min_degree_width(adj_masks: list[int]) -> int:
+    """Width of the min-degree elimination ordering (ties to the lowest
+    index): eliminate a vertex of least degree, make its neighbours a
+    clique, repeat; the width is the largest degree at elimination.  It is
+    an upper bound on the treewidth (Bodlaender and Koster, "Treewidth
+    computations I. Upper bounds", 2010), hence η ≤ width + 1."""
+    adj = dict(enumerate(adj_masks))
+    width = 0
+    while adj:
+        v = min(adj, key=lambda u: bin(adj[u]).count("1"))
+        nbrs = adj.pop(v)
+        width = max(width, bin(nbrs).count("1"))
+        m = nbrs
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            adj[u] = (adj[u] | nbrs) & ~(1 << u | 1 << v)
+    return width
 
 
 def _check_budget(g: SimpleGraph, cap: int):
@@ -207,30 +240,21 @@ def hadwiger_model(g: SimpleGraph, cap: int = 12) -> tuple[int, MinorModel]:
 
     Search over edge contractions: the answer is the maximum clique number
     over all quotients by connected partitions.  States are memoized by the
-    partition; branches whose quotient is already no larger than the best
-    known clique are pruned.
+    partition and searched depth first.  A state is pruned when its
+    quotient has no more bags than the best clique known, or fewer edges
+    than a clique one larger needs: contraction never adds quotient edges.
+    The search stops once the best clique reaches the min-degree width
+    plus one, an upper bound on η (η ≤ treewidth + 1).
     """
     _check_budget(g, cap)
     if g.n == 0:
         raise ValueError("empty host")
-    adj = [0] * g.n
-    for u, v in g.edges():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _adj_masks(g)
+    ceiling = min_degree_width(adj) + 1
 
     best = 0
     best_bags: tuple = ()
     visited: set = set()
-
-    def bag_adjacent(bags, i, j):
-        mask_j = bags[j]
-        m = bags[i]
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if adj[v] & mask_j:
-                return True
-        return False
 
     def search(bags: tuple):
         nonlocal best, best_bags
@@ -241,24 +265,45 @@ def hadwiger_model(g: SimpleGraph, cap: int = 12) -> tuple[int, MinorModel]:
         q = len(bags)
         if q <= best:
             return
-        quotient_edges = [
-            (i, j) for i, j in combinations(range(q), 2) if bag_adjacent(bags, i, j)
-        ]
-        quotient = graphs.from_edges(q, quotient_edges)
-        clique = max_clique(quotient)
+        quotient = []
+        edges = 0
+        for bag in bags:
+            reach = 0
+            m = bag
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                reach |= adj[v]
+            reach &= ~bag
+            row = 0
+            for j, other in enumerate(bags):
+                if reach & other:
+                    row |= 1 << j
+            quotient.append(row)
+            edges += bin(row).count("1")
+        edges //= 2
+        if edges < (best + 1) * best // 2:
+            return
+        clique = _max_clique_masks(quotient)
         if len(clique) > best:
             best = len(clique)
             best_bags = tuple(bags[i] for i in clique)
-        if len(quotient_edges) == q * (q - 1) // 2:
+        if edges == q * (q - 1) // 2:
             return
-        for i, j in quotient_edges:
-            merged = tuple(
-                sorted(
-                    [bags[t] for t in range(q) if t not in (i, j)]
-                    + [bags[i] | bags[j]]
+        for i in range(q):
+            later = quotient[i] & ~((2 << i) - 1)
+            while later:
+                j = (later & -later).bit_length() - 1
+                later &= later - 1
+                if best == ceiling:
+                    return
+                merged = tuple(
+                    sorted(
+                        [bags[t] for t in range(q) if t not in (i, j)]
+                        + [bags[i] | bags[j]]
+                    )
                 )
-            )
-            search(merged)
+                search(merged)
 
     search(tuple(sorted(1 << v for v in range(g.n))))
 
@@ -284,10 +329,7 @@ def treewidth_oracle(g: SimpleGraph, cap: int = 12) -> int:
     n = g.n
     if n == 0:
         return 0
-    adj = [0] * n
-    for u, v in g.edges():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _adj_masks(g)
 
     def back_degree(subset: int, v: int) -> int:
         # neighbors of v outside `subset` reachable through subset ∪ {v}

@@ -20,6 +20,18 @@ from .embeddings import EmbEdge, MultiEmbedding
 from .graphs import SimpleGraph, Split
 
 
+# ---------------------------------------------------------------- field types
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require(ok: bool, message: str):
+    """Reject a field of the wrong JSON type before any object is built."""
+    if not ok:
+        raise ValueError(message)
+
+
 # ---------------------------------------------------------------- labels
 
 def label_to_json(label):
@@ -92,6 +104,8 @@ def embedding_to_json(emb: MultiEmbedding) -> dict:
 
 
 def embedding_from_json(obj: dict) -> MultiEmbedding:
+    for key in ("edges", "vertices", "rotations"):
+        _require(isinstance(obj[key], dict), f"embedding {key} is not an object")
     signatures = {int(e): s for e, s in obj.get("signatures", {}).items()}
     edge_labels = {
         int(e): label_from_json(lab) for e, lab in obj.get("edge_labels", {}).items()
@@ -167,6 +181,11 @@ def _is_incidence(p) -> bool:
 def structure_from_json(obj: dict):
     from .vortex import AlmostEmbeddable
 
+    params = obj["params"]
+    _require(
+        isinstance(params, list) and len(params) == 4 and all(map(_is_int, params)),
+        "params is not a list of 4 integers",
+    )
     base = embedding_from_json(obj["base"])
     by_incidence = {w.incidences: w for w in embeddings.trace_faces(base)}
     faces = obj["disc_faces"]
@@ -188,7 +207,7 @@ def structure_from_json(obj: dict):
         apex_edges=tuple(
             (label_from_json(x), label_from_json(y)) for x, y in obj["apex_edges"]
         ),
-        params=tuple(obj["params"]),
+        params=tuple(params),
     )
 
 
@@ -212,6 +231,16 @@ def model_from_json(obj: dict, host: SimpleGraph):
     from .minors import MinorModel
 
     t = obj["pattern_n"]
+    _require(_is_int(t), "model pattern_n is not an integer")
+    _require(_is_int(obj.get("k", 1)), "model k is not an integer")
+    _require(
+        isinstance(obj["sets"], dict) and all(
+            isinstance(x, str) and x.isdecimal()
+            and isinstance(s, list) and all(map(_is_int, s))
+            for x, s in obj["sets"].items()
+        ),
+        "model sets is not an object of integer lists keyed by decimal strings",
+    )
     if "pattern_edges" in obj:
         pattern = graphs.from_edges(t, [tuple(e) for e in obj["pattern_edges"]])
     else:
@@ -238,6 +267,7 @@ def certificate_from_json(obj: dict):
     from .constructions import ConstructionCertificate
     from .vortex import flatten
 
+    _require(_is_int(obj["n"]), "n is not an integer")
     structure = structure_from_json(obj["structure"])
     host = flatten(structure)
     model = model_from_json(obj["model"], host)

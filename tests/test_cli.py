@@ -130,3 +130,33 @@ def test_verify_malformed_disc_faces_exits_2(tmp_path, capsys, disc_faces):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+# The JSON path of a field, and the value of the wrong type put there.
+WRONG_TYPES = {
+    "n-list": (["n"], [2]),
+    "n-null": (["n"], None),
+    "n-string": (["n"], "2"),
+    "n-float": (["n"], 2.0),
+    "params-strings": (["structure", "params"], ["0", "1", "2", "0"]),
+    "sets-list": (["model", "sets"], [[0]]),
+    "set-strings": (["model", "sets", "0"], ["0"]),
+    "base-edges-list": (["structure", "base", "edges"], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_verify_wrong_field_type_exits_2(tmp_path, capsys, case):
+    path, value = WRONG_TYPES[case]
+    cert = tmp_path / "cert.json"
+    run(["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(cert)], capsys)
+    obj = json.loads(cert.read_text())
+    owner = obj
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    cert.write_text(json.dumps(obj))
+    code, out, err = run(["verify", str(cert)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1

@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from hadwiger import graphs, minors
+from hadwiger import graphs, minors, serialize
 from hadwiger.errors import BudgetExceeded, CapacityExceeded, SideInvalid
 from hadwiger.minors import MinorModel
 from oracles import bramble_order, check_tree_decomposition, naive_eta
@@ -160,13 +161,107 @@ def test_hadwiger_oracle_budget():
         minors.hadwiger_oracle(graphs.grid_graph(4))
 
 
-def test_hadwiger_oracle_matches_naive_on_random_graphs():
+def gnp(n, p, rng):
+    return graphs.from_edges(
+        n, [e for e in graphs.complete_graph(n).edges() if rng.random() < p]
+    )
+
+
+def adj_masks(g):
+    return [sum(1 << v for v in g.adj[u]) for u in range(g.n)]
+
+
+def sparse_to_dense_graphs():
     rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randint(2, 6)
-        edges = [e for e in graphs.complete_graph(n).edges() if rng.random() < 0.6]
-        g = graphs.from_edges(n, edges)
-        assert minors.hadwiger_oracle(g) == naive_eta(g)
+    return [
+        gnp(n, p, rng)
+        for p in (0.15, 0.3, 0.5, 0.8)
+        for n in range(2, 10)
+        for _ in range(2)
+    ]
+
+
+def test_hadwiger_oracle_matches_naive_on_random_graphs():
+    loose = disconnected = 0
+    for g in sparse_to_dense_graphs():
+        eta = minors.hadwiger_oracle(g)
+        assert eta == naive_eta(g)
+        loose += eta < minors.min_degree_width(adj_masks(g)) + 1
+        disconnected += not graphs.is_connected_subset(g, range(g.n))
+    # the search must also run to the end, not only stop at the ceiling
+    assert loose >= 1
+    assert disconnected >= 1
+
+
+# name -> (host, eta, SHA-256 of the witness JSON), recorded before the
+# search gained its edge-count prune and its min-degree ceiling.
+PINNED_WITNESSES = {
+    "k5": (
+        lambda: graphs.complete_graph(5), 5,
+        "01e4d80c1e760d5e5162bf746b306eee522167176ceb8c07747aacc70808e851",
+    ),
+    "c12": (
+        lambda: graphs.cycle_graph(12), 3,
+        "bd56d9b4b76dc704b5314dda16f9bbda760f82ffa241032cda95426c613f6fe6",
+    ),
+    "grid3": (
+        lambda: graphs.grid_graph(3), 4,
+        "7986103a477ef40cfa03dee4918cc32a6a50180e59d28d62f4ba974f6796bd99",
+    ),
+    "petersen": (
+        petersen, 5,
+        "a0d02a59046aa60138c7fbcd550def169c1fc68bfccb09ba8921719e0eb32df7",
+    ),
+    "gnp-10-0.75-0": (
+        lambda: gnp(10, 0.75, random.Random(0)), 6,
+        "5e92f8ae2758d2e20ab037a9646ffb450083e800fc2e579112b413a1161055bf",
+    ),
+    "gnp-10-0.75-1": (
+        lambda: gnp(10, 0.75, random.Random(1)), 7,
+        "de51100f1d85adcaeeedaa690f73754e5f1c09979c19c64d5b090782c59c1d34",
+    ),
+    # loose ceiling: eta = 6, min-degree width 6
+    "gnp-12-0.5-2": (
+        lambda: gnp(12, 0.5, random.Random(2)), 6,
+        "7234927d50167faaf954ba3c9278add577f69a4c4d2e0f7912a7d4f85727bdd8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WITNESSES))
+def test_hadwiger_witness_bytes_are_pinned(name):
+    build, eta, digest = PINNED_WITNESSES[name]
+    got, model = minors.hadwiger_model(build())
+    text = serialize.dumps(serialize.model_to_json(model))
+    assert got == eta
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_hadwiger_model_is_invariant_under_relabelling():
+    rng = random.Random(0)
+    g = gnp(12, 0.8, rng)
+    eta = minors.hadwiger_oracle(g)
+    for _ in range(6):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = graphs.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        got, model = minors.hadwiger_model(h)
+        assert got == eta
+        assert minors.verify_model(model).ok
+
+
+def test_min_degree_width_bounds_treewidth():
+    for g in sparse_to_dense_graphs():
+        assert minors.min_degree_width(adj_masks(g)) >= minors.treewidth_oracle(g)
+
+
+def test_min_degree_width_known_values():
+    tree = graphs.from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
+    assert minors.min_degree_width(adj_masks(tree)) == 1
+    for n in (3, 6, 12):
+        assert minors.min_degree_width(adj_masks(graphs.cycle_graph(n))) == 2
+    for n in range(1, 8):
+        assert minors.min_degree_width(adj_masks(graphs.complete_graph(n))) == n - 1
 
 
 def test_treewidth_known_values():
