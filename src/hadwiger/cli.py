@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import bounds, constructions, minors, serialize, vortex
+from . import bounds, constructions, minors, serialize
 from .errors import (
     BudgetExceeded,
     GenusOutOfCatalog,
@@ -62,7 +62,7 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     rep = constructions.verify_certificate(cert)
     g, p, k, a = cert.structure.params
-    rep.extend(bounds.sandwich_check(cert, g, p, k, a, cap=default_cap()), prefix="sandwich-")
+    rep.extend(bounds.sandwich_check(cert, g, p, k, a), prefix="sandwich-")
     print(serialize.dumps({"ok": rep.ok, "checks": rep.to_json()}), end="")
     return EXIT_OK if rep.ok else EXIT_VERIFY
 
@@ -103,7 +103,7 @@ def cmd_export(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"unreadable certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    host = vortex.flatten(cert.structure)
+    host = cert.structure.host
     if args.format == "dot":
         _write(args.out, serialize.graph_to_dot(host))
     else:

@@ -41,11 +41,7 @@ class ConstructionCertificate:
 
 def verify_certificate(cert: ConstructionCertificate) -> Report:
     rep = Report()
-    host = vortex.flatten(cert.structure)
-    same_host = (
-        host.labels == cert.model.host.labels and host.edges() == cert.model.host.edges()
-    )
-    rep.add("model-host-is-flattened-structure", same_host)
+    rep.add("model-host-is-flattened-structure", cert.structure.host == cert.model.host)
     pattern = cert.model.pattern
     rep.add(
         "pattern-is-complete-of-target-order",
@@ -158,7 +154,7 @@ def construct_vortex_graph(
         sets[(small_lab, i)].add(l0)
         sets[(big_lab, j)].add(l1)
 
-    host = vortex.flatten(structure)
+    host = structure.host
     branch_sets = {
         lex.index_of(key): frozenset(host.index_of(lab) for lab in labs)
         for key, labs in sets.items()
@@ -215,7 +211,7 @@ def one_vortex(g: int, k: int) -> ConstructionCertificate:
     reduced = embeddings.delete_vertex(emb, max(emb.vertices))
     hamiltonian = next(
         w
-        for w in embeddings.trace_faces(reduced)
+        for w in reduced.faces
         if w.is_cycle and set(w.vertices) == set(reduced.vertex_labels)
     )
     structure, model = construct_vortex_graph(reduced, [hamiltonian], k)
@@ -301,7 +297,7 @@ def with_apex(g: int, p: int, k: int, a: int) -> ConstructionCertificate:
         apex_edges=tuple(apex_edges),
         params=(g, p, k, a),
     )
-    host = vortex.flatten(structure)
+    host = structure.host
     n = cert.target
     sets = {
         x: frozenset(host.index_of(old_host.labels[v]) for v in s)

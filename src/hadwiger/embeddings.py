@@ -29,11 +29,12 @@ class EmbEdge:
     label: object = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiEmbedding:
     """Loops are forbidden; parallel edges (distinct edge ids) are fine.
 
-    Treat instances as immutable; all operations return new embeddings.
+    Treat instances and their maps as immutable, since `faces` is traced
+    once and cached; all operations return new embeddings.
     """
 
     vertex_labels: dict[int, Hashable]
@@ -76,6 +77,11 @@ class MultiEmbedding:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def faces(self) -> tuple[FacialWalk, ...]:
+        """The facial walks of `trace_faces`, traced once per embedding."""
+        return trace_faces(self)
 
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
@@ -211,7 +217,7 @@ def euler_genus(emb: MultiEmbedding) -> int:
     """g = 2 - n + m - f for the traced 2-cell embedding."""
     if not emb.is_connected():
         raise Disconnected("euler genus requires a connected embedding")
-    f = len(trace_faces(emb))
+    f = len(emb.faces)
     g = 2 - emb.n + emb.m - f
     if g < 0:
         raise MalformedRotation(f"negative genus {g}; rotation system inconsistent")
@@ -240,7 +246,7 @@ def _cycles_equal(a: Sequence, b: Sequence) -> bool:
 
 
 def find_facial_cycle(emb: MultiEmbedding, cycle: Sequence[int]) -> FacialWalk:
-    for walk in trace_faces(emb):
+    for walk in emb.faces:
         if walk.is_cycle and _cycles_equal(walk.vertices, cycle):
             return walk
     raise NotACycle(f"{list(cycle)} is not a facial cycle")
@@ -256,7 +262,7 @@ def split_at_faces(
     vertices are labeled Split(owner, i), i counted 1..d from the face corner.
     Faces correspond one-to-one before and after.
     """
-    traced = {w.incidences for w in trace_faces(emb)}
+    traced = {w.incidences for w in emb.faces}
     seen_vertices: set[int] = set()
     for w in faces:
         if w.incidences not in traced:
@@ -492,8 +498,7 @@ def _validate_catalog_entry(emb: MultiEmbedding, m: int):
     expected_genus = (m - 3) * (m - 4) // 6
     if emb.n != m or emb.m != m * (m - 1) // 2:
         raise NotInCatalog(f"catalog entry for K_{m} has wrong order/size")
-    walks = trace_faces(emb)
-    if any(len(w) != 3 for w in walks):
+    if any(len(w) != 3 for w in emb.faces):
         raise NotInCatalog(f"catalog entry for K_{m} has a non-triangular face")
     if euler_genus(emb) != expected_genus:
         raise NotInCatalog(f"catalog entry for K_{m} has wrong genus")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from . import embeddings, graphs
+from . import graphs
 from .embeddings import EmbEdge, MultiEmbedding
 from .graphs import SimpleGraph, Split
 
@@ -187,7 +187,7 @@ def structure_from_json(obj: dict):
         "params is not a list of 4 integers",
     )
     base = embedding_from_json(obj["base"])
-    by_incidence = {w.incidences: w for w in embeddings.trace_faces(base)}
+    by_incidence = {w.incidences: w for w in base.faces}
     faces = obj["disc_faces"]
     if not isinstance(faces, list) or not all(
         isinstance(inc, list) and all(_is_incidence(p) for p in inc) for inc in faces
@@ -262,20 +262,21 @@ def certificate_to_json(cert) -> dict:
 
 
 def certificate_from_json(obj: dict):
-    import sympy
-
+    """The guarantee is recomputed from the declared params; `guarantee_expr`
+    must be present but, like `guarantee_float`, is display-only and never
+    parsed."""
+    from .bounds import lower_guarantee
     from .constructions import ConstructionCertificate
-    from .vortex import flatten
 
     _require(_is_int(obj["n"]), "n is not an integer")
     structure = structure_from_json(obj["structure"])
-    host = flatten(structure)
-    model = model_from_json(obj["model"], host)
+    model = model_from_json(obj["model"], structure.host)
+    _require("guarantee_expr" in obj, "guarantee_expr is missing")
     return ConstructionCertificate(
         structure=structure,
         target=obj["n"],
         model=model,
-        guarantee=sympy.sympify(obj["guarantee_expr"]),
+        guarantee=lower_guarantee(*structure.params).expr,
     )
 
 

@@ -8,6 +8,7 @@ report-valued: they check every property and return witnesses for failures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable
 
 from . import embeddings, graphs
@@ -42,6 +43,7 @@ def validate_circular(v: Vortex) -> Report:
     rep = Report()
     labels = set(v.graph.labels)
     perim = list(v.perimeter)
+    perim_set = set(perim)
     t = len(perim)
 
     missing = [w for w in perim if w not in labels]
@@ -56,7 +58,7 @@ def validate_circular(v: Vortex) -> Report:
         for lab in bag:
             positions_of.setdefault(lab, []).append(i)
 
-    bad2 = [lab for lab in labels if lab not in perim and lab not in positions_of]
+    bad2 = [lab for lab in labels if lab not in perim_set and lab not in positions_of]
     rep.add("property-2-covers-vertices", not bad2, bad2 or None)
 
     bad3 = []
@@ -124,6 +126,11 @@ class AlmostEmbeddable:
         if len(self.vortices) != len(self.disc_faces):
             raise ValueError("one disc face per vortex required")
 
+    @cached_property
+    def host(self) -> SimpleGraph:
+        """The flattened graph of `flatten`, built once per structure."""
+        return flatten(self)
+
 
 def validate_almost_embeddable(a: AlmostEmbeddable) -> Report:
     g, p, k, apex_cap = a.params
@@ -139,7 +146,7 @@ def validate_almost_embeddable(a: AlmostEmbeddable) -> Report:
     rep.add("apex-count", len(a.apex) <= apex_cap, len(a.apex))
 
     base_labels = set(a.base.vertex_labels.values())
-    traced = {w.incidences for w in embeddings.trace_faces(a.base)}
+    traced = {w.incidences for w in a.base.faces}
 
     seen: set = set()
     disjoint_ok = True

@@ -160,3 +160,36 @@ def test_verify_wrong_field_type_exits_2(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+# guarantee_expr is display-only: verify recomputes the guarantee from params.
+DISPLAY_EXPRS = {
+    "expr-code": "__import__('os').mkdir({marker!r})",
+    "expr-symbol": "x",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISPLAY_EXPRS))
+def test_verify_never_evaluates_guarantee_expr(tmp_path, capsys, case):
+    marker = tmp_path / "evaluated"
+    cert = tmp_path / "cert.json"
+    run(["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(cert)], capsys)
+    obj = json.loads(cert.read_text())
+    obj["guarantee_expr"] = DISPLAY_EXPRS[case].format(marker=str(marker))
+    cert.write_text(json.dumps(obj))
+    code, out, _ = run(["verify", str(cert)], capsys)
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+    assert not marker.exists()
+
+
+def test_verify_missing_guarantee_expr_exits_2(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    run(["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(cert)], capsys)
+    obj = json.loads(cert.read_text())
+    del obj["guarantee_expr"]
+    cert.write_text(json.dumps(obj))
+    code, out, err = run(["verify", str(cert)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1

@@ -4,6 +4,7 @@ import pytest
 import sympy
 
 from hadwiger import constructions, embeddings, graphs, minors, serialize, vortex
+from hadwiger.cli import main
 from hadwiger.errors import (
     FacesDontCoverVertices,
     FacesNotDisjoint,
@@ -223,3 +224,32 @@ def test_certificate_bytes_are_pinned():
         cert = constructions.with_apex(*point)
         text = serialize.dumps(serialize.certificate_to_json(cert))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, point
+
+
+def _record_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that keeps each call's argument."""
+    calls = []
+    real = getattr(module, name)
+
+    def recorded(arg):
+        calls.append(arg)
+        return real(arg)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_verify_traces_and_flattens_once(tmp_path, capsys, monkeypatch):
+    cert = tmp_path / "cert.json"
+    assert main(["construct", "--g", "0", "--p", "4", "--k", "2", "--out", str(cert)]) == 0
+    traced = _record_calls(monkeypatch, embeddings, "trace_faces")
+    flattened = _record_calls(monkeypatch, vortex, "flatten")
+    assert main(["verify", str(cert)]) == 0
+    assert (len(traced), len(flattened)) == (1, 1)
+
+
+def test_construct_traces_each_embedding_at_most_once(monkeypatch):
+    traced = _record_calls(monkeypatch, embeddings, "trace_faces")
+    constructions.with_apex(0, 4, 2, 0)
+    # the list keeps every traced embedding alive, so no id is reused
+    assert traced and len({id(emb) for emb in traced}) == len(traced)
