@@ -183,6 +183,8 @@ def grid_model(n: int, k: int) -> MinorModel:
 
 def _declare(cert: ConstructionCertificate, params) -> ConstructionCertificate:
     structure = dataclasses.replace(cert.structure, params=params)
+    # flatten never reads params, so the flattened host carries over
+    vars(structure)["host"] = cert.structure.host
     return dataclasses.replace(cert, structure=structure)
 
 

@@ -11,6 +11,8 @@ The oracles are exact and exponential; they refuse hosts above a vertex cap.
 prunes a state whose quotient has too few bags or too few edges for a clique
 larger than the best one found, and stops once that clique reaches the width
 of a min-degree elimination plus one, an upper bound on the Hadwiger number.
+`treewidth_ordering` computes the exact treewidth by a DP over elimination
+prefixes on neighbourhood masks and returns an optimal ordering as witness.
 """
 from __future__ import annotations
 
@@ -188,7 +190,7 @@ def _max_clique_masks(adj: list[int]) -> list[int]:
             if len(r) > len(best):
                 best = list(r)
             return
-        if len(r) + bin(p).count("1") <= len(best):
+        if len(r) + p.bit_count() <= len(best):
             return
         pivot = (p | x).bit_length() - 1
         candidates = p & ~adj[pivot]
@@ -219,9 +221,9 @@ def min_degree_width(adj_masks: list[int]) -> int:
     adj = dict(enumerate(adj_masks))
     width = 0
     while adj:
-        v = min(adj, key=lambda u: bin(adj[u]).count("1"))
+        v = min(adj, key=lambda u: adj[u].bit_count())
         nbrs = adj.pop(v)
-        width = max(width, bin(nbrs).count("1"))
+        width = max(width, nbrs.bit_count())
         m = nbrs
         while m:
             u = (m & -m).bit_length() - 1
@@ -280,7 +282,7 @@ def hadwiger_model(g: SimpleGraph, cap: int = 12) -> tuple[int, MinorModel]:
                 if reach & other:
                     row |= 1 << j
             quotient.append(row)
-            edges += bin(row).count("1")
+            edges += row.bit_count()
         edges //= 2
         if edges < (best + 1) * best // 2:
             return
@@ -323,42 +325,51 @@ def hadwiger_oracle(g: SimpleGraph, cap: int = 12) -> int:
     return hadwiger_model(g, cap)[0]
 
 
-def treewidth_oracle(g: SimpleGraph, cap: int = 12) -> int:
-    """Exact treewidth by dynamic programming over elimination prefixes."""
+def treewidth_ordering(g: SimpleGraph, cap: int = 12) -> tuple[int, list[int]]:
+    """Exact treewidth and an elimination ordering of that width.
+
+    Prefix DP of Bodlaender, Fomin, Koster, Kratsch and Thilikos ("On exact
+    algorithms for treewidth", ESA 2006): TW(S) = min over v in S of
+    max(TW(S - v), |Q(S - v, v)|), Q being the vertices outside S that v
+    reaches through S - v.  Neighbourhoods of all 2^n masks are tabulated
+    once, so Q is v's component grown inside S by mask unions; v is skipped
+    when TW(S - v) already reaches S's best cost.  Each prefix's argmin
+    vertex, read back from the full set, is the witness ordering.
+    """
     _check_budget(g, cap)
     n = g.n
-    if n == 0:
-        return 0
     adj = _adj_masks(g)
-
-    def back_degree(subset: int, v: int) -> int:
-        # neighbors of v outside `subset` reachable through subset ∪ {v}
-        seen = 1 << v
-        stack = [v]
-        out = 0
-        while stack:
-            u = stack.pop()
-            m = adj[u] & ~seen
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                seen |= 1 << w
-                if subset >> w & 1:
-                    stack.append(w)
-                else:
-                    out |= 1 << w
-        return bin(out).count("1")
-
     full = (1 << n) - 1
-    dp = [n] * (full + 1)
-    dp[0] = -1
-    for subset in range(1, full + 1):
-        m = subset
+    nb = [0] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        nb[s] = nb[s ^ low] | adj[low.bit_length() - 1]
+    tw = [0] * (full + 1)
+    last = [0] * (full + 1)
+    for s in range(1, full + 1):
+        best = n
+        m = s
         while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            prev = subset & ~(1 << v)
-            cost = max(dp[prev], back_degree(prev, v))
-            if cost < dp[subset]:
-                dp[subset] = cost
-    return dp[full]
+            bit = m & -m
+            m ^= bit
+            prev = s ^ bit
+            if tw[prev] >= best:
+                continue
+            c = bit
+            while (grown := c | nb[c] & prev) != c:
+                c = grown
+            cost = max(tw[prev], (nb[c] & ~s).bit_count())
+            if cost < best:
+                best, last[s] = cost, bit
+        tw[s] = best
+    order = []
+    s = full
+    while s:
+        order.append(last[s].bit_length() - 1)
+        s ^= last[s]
+    return tw[full], order[::-1]
+
+
+def treewidth_oracle(g: SimpleGraph, cap: int = 12) -> int:
+    """Exact treewidth; see `treewidth_ordering` for the method."""
+    return treewidth_ordering(g, cap)[0]

@@ -3,10 +3,11 @@
 These deliberately share no code with the package's search oracles: the
 Hadwiger number is recomputed by enumerating all partitions of the vertex
 set into connected parts and taking the largest clique in the quotient, an
-edge-count certificate bounds it from above, and tree decompositions are
-checked axiom by axiom.
+edge-count certificate bounds it from above, the treewidth is the least
+width over every elimination ordering, and tree decompositions are checked
+axiom by axiom.
 """
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hadwiger.graphs import SimpleGraph
 
@@ -117,6 +118,30 @@ def no_kt_minor_by_edge_count(g: SimpleGraph, t: int) -> bool:
         if all(adj[u] >> v & 1 for u, v in combinations(verts, 2)):
             return False
     return True
+
+
+def naive_treewidth(g: SimpleGraph) -> int:
+    """Treewidth as the least width over all n! elimination orderings.
+
+    Eliminating a vertex joins its remaining neighbours into a clique; the
+    width of an ordering is the largest neighbourhood met.  An ordering is
+    abandoned once it reaches the best width known.  Meant for n <= 7.
+    """
+    best = max(g.n - 1, 0)
+    for order in permutations(range(g.n)):
+        nbrs = {v: set(g.adj[v]) for v in range(g.n)}
+        width = 0
+        for v in order:
+            around = nbrs.pop(v)
+            width = max(width, len(around))
+            if width >= best:
+                break
+            for u in around:
+                nbrs[u] |= around - {u}
+                nbrs[u].discard(v)
+        else:
+            best = width
+    return best
 
 
 def check_tree_decomposition(g: SimpleGraph, bags, tree_edges) -> bool:

@@ -253,3 +253,15 @@ def test_construct_traces_each_embedding_at_most_once(monkeypatch):
     constructions.with_apex(0, 4, 2, 0)
     # the list keeps every traced embedding alive, so no id is reused
     assert traced and len({id(emb) for emb in traced}) == len(traced)
+
+
+@pytest.mark.parametrize("point", [(0, 4, 2, 0), (0, 4, 2, 1), (1, 1, 2, 0)])
+def test_construct_flattens_each_structure_once(tmp_path, monkeypatch, point):
+    flattened = _record_calls(monkeypatch, vortex, "flatten")
+    argv = ["construct"] + [
+        x for flag, v in zip(("--g", "--p", "--k", "--a"), point) for x in (flag, str(v))
+    ]
+    assert main(argv + ["--out", str(tmp_path / "cert.json")]) == 0
+    # re-declaring params keeps the base, vortices and apexes as they are
+    shapes = [(id(s.base), id(s.vortices), s.apex) for s in flattened]
+    assert flattened and len(set(shapes)) == len(shapes)

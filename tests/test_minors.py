@@ -2,11 +2,17 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hadwiger import graphs, minors, serialize
 from hadwiger.errors import BudgetExceeded, CapacityExceeded, SideInvalid
 from hadwiger.minors import MinorModel
-from oracles import bramble_order, check_tree_decomposition, naive_eta
+from oracles import (
+    bramble_order,
+    check_tree_decomposition,
+    naive_eta,
+    naive_treewidth,
+)
 
 
 def petersen():
@@ -287,6 +293,66 @@ def test_treewidth_l3_cross_checked():
     # independent upper bound: an explicit width-3 path decomposition
     bags = [frozenset(range(i, i + 4)) for i in range(6)]
     assert check_tree_decomposition(g, bags, [(i, i + 1) for i in range(5)])
+
+
+def test_treewidth_oracle_matches_naive_on_random_graphs():
+    rng = random.Random(11)
+    disconnected = 0
+    for p in (0.1, 0.3, 0.5, 0.8):
+        for n in range(1, 8):
+            for _ in range(2):
+                g = gnp(n, p, rng)
+                assert minors.treewidth_oracle(g) == naive_treewidth(g)
+                disconnected += not graphs.is_connected_subset(g, range(g.n))
+    assert disconnected >= 1
+
+
+def elimination_decomposition(g, order):
+    """Bags and tree edges of the decomposition an elimination ordering
+    induces: v's bag is v with its neighbours when it is eliminated, its
+    parent is the first of those neighbours eliminated after it, and the
+    roots of the resulting forest are chained into one tree."""
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = {v: set(g.adj[v]) for v in range(g.n)}
+    bags, edges, roots = [], [], []
+    for i, v in enumerate(order):
+        around = nbrs.pop(v)
+        for u in around:
+            nbrs[u] |= around - {u}
+            nbrs[u].discard(v)
+        bags.append(frozenset(around | {v}))
+        if around:
+            edges.append((i, pos[min(around, key=pos.get)]))
+        else:
+            roots.append(i)
+    return bags, edges + list(zip(roots, roots[1:]))
+
+
+def assert_ordering_certifies_width(g):
+    width, order = minors.treewidth_ordering(g)
+    assert sorted(order) == list(range(g.n))
+    bags, edges = elimination_decomposition(g, order)
+    assert check_tree_decomposition(g, bags, edges)
+    assert max(len(b) for b in bags) == width + 1
+
+
+def test_treewidth_ordering_witness_decomposes():
+    for g in sparse_to_dense_graphs() + [graphs.grid_graph(3)]:
+        assert_ordering_certifies_width(g)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = list(graphs.complete_graph(n).edges())
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graphs.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_treewidth_ordering_witness_property(g):
+    assert_ordering_certifies_width(g)
 
 
 def test_treewidth_budget():
