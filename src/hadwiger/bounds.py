@@ -2,15 +2,18 @@
 
 Every bound is kept as an exact symbolic expression (rationals and square
 roots); comparisons against integers never go through floats, so acceptance
-checks cannot be flaky at the boundary.
+checks cannot be flaky at the boundary.  Only code that builds or compares a
+bound imports sympy, so `hadwiger eta` or a rejected `verify` never loads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import sympy
+from typing import TYPE_CHECKING
 
 from .report import Report
+
+if TYPE_CHECKING:
+    import sympy
 
 
 @dataclass(frozen=True)
@@ -24,6 +27,7 @@ class BoundValue:
 
     @property
     def floor(self) -> int:
+        import sympy
         return int(sympy.floor(self.expr))
 
     def __le__(self, other):
@@ -43,9 +47,16 @@ class BoundValue:
 
 
 def _coerce(x) -> sympy.Expr:
+    """The exact value of an int, a sympy number or a BoundValue.  Anything
+    else is a TypeError: nothing is ever parsed or sympified."""
+    import sympy
     if isinstance(x, BoundValue):
         return x.expr
-    return sympy.sympify(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return sympy.Integer(x)
+    if isinstance(x, sympy.Expr) and x.is_number:
+        return x
+    raise TypeError(f"cannot compare a bound with {type(x).__name__}")
 
 
 def _check_nonneg(**params):
@@ -58,6 +69,7 @@ def surface_bound(g: int) -> BoundValue:
     """Upper bound on the Hadwiger number of graphs embeddable in Euler
     genus g: sqrt(6g) + 4."""
     _check_nonneg(g=g)
+    import sympy
     return BoundValue(sympy.sqrt(6 * g) + 4)
 
 
@@ -71,6 +83,7 @@ def main_upper(g: int, p: int, k: int) -> BoundValue:
     """Upper bound for almost-embeddable graphs:
     48(k+1)sqrt(g+p) + sqrt(6g) + 5."""
     _check_nonneg(g=g, p=p, k=k)
+    import sympy
     return BoundValue(
         48 * (k + 1) * sympy.sqrt(g + p) + sympy.sqrt(6 * g) + 5
     )
@@ -86,6 +99,7 @@ def main_tool_bound(k: int, c: int, g: int) -> BoundValue:
     """Bound on blowup minors over a surface with c attachment cycles:
     48k*sqrt(c+g)."""
     _check_nonneg(k=k, c=c, g=g)
+    import sympy
     return BoundValue(48 * k * sympy.sqrt(c + g))
 
 
@@ -93,6 +107,7 @@ def lower_guarantee(g: int, p: int, k: int, a: int) -> BoundValue:
     """Guaranteed complete-minor order from the constructions:
     a + k*sqrt(p+g)/4."""
     _check_nonneg(g=g, p=p, k=k, a=a)
+    import sympy
     return BoundValue(a + sympy.Rational(1, 4) * k * sympy.sqrt(p + g))
 
 

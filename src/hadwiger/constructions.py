@@ -8,12 +8,12 @@ re-verifiable: nothing is trusted from the construction itself.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TYPE_CHECKING
 
-import sympy
-
-from . import embeddings, graphs, minors, vortex
+from . import bounds, embeddings, graphs, minors, vortex
 from .embeddings import MultiEmbedding
 from .errors import (
     FacesDontCoverVertices,
@@ -26,6 +26,9 @@ from .graphs import SimpleGraph
 from .minors import MinorModel
 from .report import Report
 from .vortex import AlmostEmbeddable, Vortex
+
+if TYPE_CHECKING:
+    import sympy
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ def verify_certificate(cert: ConstructionCertificate) -> Report:
     rep.extend(vortex.validate_almost_embeddable(cert.structure), prefix="structure-")
     rep.add(
         "target-meets-guarantee",
-        bool(sympy.Rational(cert.target) >= cert.guarantee),
+        bool(cert.guarantee <= cert.target),
         (cert.target, str(cert.guarantee)),
     )
     return rep
@@ -193,18 +196,16 @@ def one_vortex(g: int, k: int) -> ConstructionCertificate:
     triangulation: delete one vertex, whose link is a Hamiltonian facial
     cycle, and run the vortex construction on it.  Yields a complete minor
     of order (m-1)k >= k*sqrt(6g)."""
+    import sympy
     if g < 1:
         raise GZero("construction is vacuous without genus")
     if k < 1:
         raise ValueError("k must be >= 1")
-    m0 = sympy.sqrt(6 * g) + 1
-    m = next(
-        (c for c in embeddings.CATALOG_MEMBERS if bool(m0 <= c) and bool(c <= m0 + 2)),
-        None,
-    )
+    # the integers c with sqrt(6g) + 1 <= c <= sqrt(6g) + 3
+    r = math.isqrt(6 * g)
+    lo, hi = r + 1 + (r * r < 6 * g), r + 3
+    m = next((c for c in embeddings.CATALOG_MEMBERS if lo <= c <= hi), None)
     if m is None:
-        lo = int(sympy.ceiling(m0))
-        hi = int(sympy.floor(m0 + 2))
         raise GenusOutOfCatalog(
             f"no catalog triangulation of order in [{lo}, {hi}]",
             required_range=(lo, hi),
@@ -230,11 +231,12 @@ def many_vortex(p: int, k: int) -> ConstructionCertificate:
     """Many-vortex construction over an even grid: one vortex per 2x2 block,
     composed with the explicit grid blowup model.  Yields a complete minor
     of order 2*floor(sqrt(p))*floor(k/2) >= (2/(3*sqrt(3)))*k*sqrt(p)."""
+    import sympy
     if k < 2:
         raise KTooSmall("at least two hub vertices per face vertex are needed")
     if p < 1:
         raise ValueError("p must be >= 1")
-    m = int(sympy.floor(sympy.sqrt(p)))
+    m = math.isqrt(p)
     half = k // 2
     emb = embeddings.grid_embedding(2 * m)
     by_coord = {lab: v for v, lab in emb.vertex_labels.items()}
@@ -275,9 +277,7 @@ def combined(g: int, p: int, k: int) -> ConstructionCertificate:
     else:
         cert = many_vortex(p, k)
     cert = _declare(cert, (g, p, k, 0))
-    return dataclasses.replace(
-        cert, guarantee=sympy.Rational(1, 4) * k * sympy.sqrt(p + g)
-    )
+    return dataclasses.replace(cert, guarantee=bounds.lower_guarantee(g, p, k, 0).expr)
 
 
 def with_apex(g: int, p: int, k: int, a: int) -> ConstructionCertificate:
@@ -288,18 +288,16 @@ def with_apex(g: int, p: int, k: int, a: int) -> ConstructionCertificate:
     cert = combined(g, p, k)
     if a == 0:
         return cert
-    old_host = cert.model.host
+    old_host = cert.structure.host
     apex = tuple(("apex", j) for j in range(1, a + 1))
-    apex_edges = [
-        (x, lab) for x in apex for lab in old_host.labels
-    ] + list(combinations(apex, 2))
-    structure = dataclasses.replace(
-        cert.structure,
-        apex=apex,
-        apex_edges=tuple(apex_edges),
-        params=(g, p, k, a),
+    apex_edges = tuple(
+        [(x, lab) for x in apex for lab in old_host.labels] + list(combinations(apex, 2))
     )
-    host = structure.host
+    structure = dataclasses.replace(
+        cert.structure, apex=apex, apex_edges=apex_edges, params=(g, p, k, a)
+    )
+    # the apex-free structure is already flattened: add the apexes to its host
+    host = vars(structure)["host"] = vortex.add_apexes(old_host, apex, apex_edges)
     n = cert.target
     sets = {
         x: frozenset(host.index_of(old_host.labels[v]) for v in s)

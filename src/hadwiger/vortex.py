@@ -203,13 +203,18 @@ def flatten(a: AlmostEmbeddable) -> SimpleGraph:
     vortices in order, then apexes)."""
     parts = [embeddings.underlying_simple(a.base)]
     parts.extend(v.graph for v in a.vortices)
-    union = graphs.union_by_labels(parts)
-    if not a.apex:
-        return union
-    labels = list(union.labels) + list(a.apex)
+    return add_apexes(graphs.union_by_labels(parts), a.apex, a.apex_edges)
+
+
+def add_apexes(host: SimpleGraph, apex, apex_edges) -> SimpleGraph:
+    """`host` plus the apex vertices, numbered after its own, and the apex
+    edges: a structure's flattening from that of its apex-free part."""
+    if not apex:
+        return host
+    labels = list(host.labels) + list(apex)
     index = {lab: i for i, lab in enumerate(labels)}
-    edges = list(union.edges())
-    for x, y in a.apex_edges:
+    edges = list(host.edges())
+    for x, y in apex_edges:
         i, j = index[x], index[y]
         edges.append((min(i, j), max(i, j)))
     return graphs.from_edges(len(labels), sorted(set(edges)), tuple(labels))

@@ -54,6 +54,21 @@ def test_bound_comparisons_are_exact():
     assert b <= 3
 
 
+def test_bound_comparison_never_evaluates_strings(tmp_path):
+    marker = tmp_path / "evaluated"
+    with pytest.raises(TypeError):
+        bounds.lower_guarantee(1, 1, 2, 0) <= "__import__('os')"
+    with pytest.raises(TypeError):
+        bounds.lower_guarantee(1, 1, 2, 0) <= f"__import__('os').mkdir({str(marker)!r})"
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("other", ["3", 2.5, True, sympy.Symbol("x")])
+def test_bound_comparison_rejects_non_numbers(other):
+    with pytest.raises(TypeError):
+        bounds.lower_guarantee(1, 1, 2, 0) <= other
+
+
 def test_upper_bounds_monotone():
     values = [
         bounds.full_upper(g, p, k, a).expr

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hadwiger
 from hadwiger import graphs, serialize
 from hadwiger.cli import main
 
@@ -193,3 +197,54 @@ def test_verify_missing_guarantee_expr_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+# In a fresh interpreter: run `main(argv)` unless argv is None, then write the
+# exit code and whether sympy was imported to the file named first.
+FRESH = """
+import json, sys
+from hadwiger.cli import main
+argv = json.loads(sys.argv[2])
+code = None if argv is None else main(argv)
+with open(sys.argv[1], "w") as f:
+    json.dump([code, "sympy" in sys.modules], f)
+"""
+
+
+def _argv(case, tmp_path, capsys):
+    if case == "import":
+        return None
+    if case == "eta":
+        path = tmp_path / "k5.json"
+        path.write_text(serialize.dumps(serialize.graph_to_json(graphs.complete_graph(5))))
+        return ["eta", str(path)]
+    construct = ["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(tmp_path / "cert.json")]
+    if case == "construct":
+        return construct
+    run(construct, capsys)
+    obj = json.loads((tmp_path / "cert.json").read_text())
+    obj["n"] = "2"
+    (tmp_path / "cert.json").write_text(json.dumps(obj))
+    return ["verify", str(tmp_path / "cert.json")]
+
+
+# (exit code, sympy loaded): only building or comparing a guarantee needs sympy
+STARTUP = {
+    "import": (None, False),
+    "eta": (0, False),
+    "verify-rejected": (2, False),
+    "construct": (0, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STARTUP))
+def test_startup_loads_sympy_only_for_guarantees(tmp_path, capsys, case):
+    argv = _argv(case, tmp_path, capsys)
+    result = tmp_path / "result.json"
+    src = os.path.dirname(os.path.dirname(hadwiger.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run(
+        [sys.executable, "-c", FRESH, str(result), json.dumps(argv)],
+        env=env, check=True, capture_output=True, timeout=120,
+    )
+    assert tuple(json.loads(result.read_text())) == STARTUP[case]

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 import sympy
@@ -262,6 +263,33 @@ def test_construct_flattens_each_structure_once(tmp_path, monkeypatch, point):
         x for flag, v in zip(("--g", "--p", "--k", "--a"), point) for x in (flag, str(v))
     ]
     assert main(argv + ["--out", str(tmp_path / "cert.json")]) == 0
-    # re-declaring params keeps the base, vortices and apexes as they are
-    shapes = [(id(s.base), id(s.vortices), s.apex) for s in flattened]
-    assert flattened and len(set(shapes)) == len(shapes)
+    # only the apex-free structure is flattened: re-declared params and added
+    # apexes carry its host over
+    assert len(flattened) == 1
+
+
+@pytest.mark.parametrize("point", [(0, 4, 2, 1), (1, 1, 2, 2)])
+def test_with_apex_host_equals_flatten(point):
+    structure = constructions.with_apex(*point).structure
+    host = vars(structure)["host"]
+    fresh = vortex.flatten(structure)
+    assert host.labels == fresh.labels
+    assert host.edges() == fresh.edges()
+
+
+def test_catalog_decision_matches_sympy():
+    for g in range(1, 501):
+        m0 = sympy.sqrt(6 * g) + 1
+        fits = [c for c in embeddings.CATALOG_MEMBERS if m0 <= c <= m0 + 2]
+        if fits:
+            assert constructions.one_vortex(g, 1).target == fits[0] - 1, g
+        else:
+            with pytest.raises(GenusOutOfCatalog) as exc:
+                constructions.one_vortex(g, 1)
+            expected = (int(sympy.ceiling(m0)), int(sympy.floor(m0 + 2)))
+            assert exc.value.required_range == expected, g
+
+
+def test_many_vortex_isqrt_matches_sympy():
+    for p in range(1, 10001):
+        assert math.isqrt(p) == int(sympy.floor(sympy.sqrt(p))), p
