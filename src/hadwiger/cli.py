@@ -92,7 +92,7 @@ def cmd_bounds(args) -> int:
         ("lower_guarantee", bounds.lower_guarantee(args.g, args.p, args.k, args.a)),
     ]
     for name, value in rows:
-        print(f"{name:16} {value}")
+        print(f"{name:16} {value if isinstance(value, int) else value.display()}")
     return EXIT_OK
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
-from typing import TYPE_CHECKING
 
 from . import bounds, embeddings, graphs, minors, vortex
 from .embeddings import MultiEmbedding
@@ -27,9 +27,6 @@ from .minors import MinorModel
 from .report import Report
 from .vortex import AlmostEmbeddable, Vortex
 
-if TYPE_CHECKING:
-    import sympy
-
 
 @dataclass(frozen=True)
 class ConstructionCertificate:
@@ -39,7 +36,7 @@ class ConstructionCertificate:
     structure: AlmostEmbeddable
     target: int
     model: MinorModel
-    guarantee: sympy.Expr
+    guarantee: bounds.BoundValue
 
 
 def verify_certificate(cert: ConstructionCertificate) -> Report:
@@ -55,7 +52,7 @@ def verify_certificate(cert: ConstructionCertificate) -> Report:
     rep.extend(vortex.validate_almost_embeddable(cert.structure), prefix="structure-")
     rep.add(
         "target-meets-guarantee",
-        bool(cert.guarantee <= cert.target),
+        cert.guarantee <= cert.target,
         (cert.target, str(cert.guarantee)),
     )
     return rep
@@ -196,7 +193,6 @@ def one_vortex(g: int, k: int) -> ConstructionCertificate:
     triangulation: delete one vertex, whose link is a Hamiltonian facial
     cycle, and run the vortex construction on it.  Yields a complete minor
     of order (m-1)k >= k*sqrt(6g)."""
-    import sympy
     if g < 1:
         raise GZero("construction is vacuous without genus")
     if k < 1:
@@ -222,7 +218,7 @@ def one_vortex(g: int, k: int) -> ConstructionCertificate:
         structure=structure,
         target=(m - 1) * k,
         model=model,
-        guarantee=k * sympy.sqrt(6 * g),
+        guarantee=bounds.BoundValue.of(0, (6 * g, k)),
     )
     return _declare(cert, (g, 1, k, 0))
 
@@ -231,7 +227,6 @@ def many_vortex(p: int, k: int) -> ConstructionCertificate:
     """Many-vortex construction over an even grid: one vortex per 2x2 block,
     composed with the explicit grid blowup model.  Yields a complete minor
     of order 2*floor(sqrt(p))*floor(k/2) >= (2/(3*sqrt(3)))*k*sqrt(p)."""
-    import sympy
     if k < 2:
         raise KTooSmall("at least two hub vertices per face vertex are needed")
     if p < 1:
@@ -260,7 +255,7 @@ def many_vortex(p: int, k: int) -> ConstructionCertificate:
         structure=structure,
         target=2 * m * half,
         model=model,
-        guarantee=sympy.Rational(2, 3) * k * sympy.sqrt(p) / sympy.sqrt(3),
+        guarantee=bounds.BoundValue.of(0, (3 * p, Fraction(2 * k, 9))),
     )
     return _declare(cert, (0, p, k, 0))
 
@@ -277,7 +272,7 @@ def combined(g: int, p: int, k: int) -> ConstructionCertificate:
     else:
         cert = many_vortex(p, k)
     cert = _declare(cert, (g, p, k, 0))
-    return dataclasses.replace(cert, guarantee=bounds.lower_guarantee(g, p, k, 0).expr)
+    return dataclasses.replace(cert, guarantee=bounds.lower_guarantee(g, p, k, 0))
 
 
 def with_apex(g: int, p: int, k: int, a: int) -> ConstructionCertificate:
@@ -310,5 +305,5 @@ def with_apex(g: int, p: int, k: int, a: int) -> ConstructionCertificate:
         structure=structure,
         target=n + a,
         model=model,
-        guarantee=a + cert.guarantee,
+        guarantee=bounds.lower_guarantee(g, p, k, a),
     )

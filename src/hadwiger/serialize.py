@@ -276,7 +276,7 @@ def certificate_from_json(obj: dict):
         structure=structure,
         target=obj["n"],
         model=model,
-        guarantee=lower_guarantee(*structure.params).expr,
+        guarantee=lower_guarantee(*structure.params),
     )
 
 

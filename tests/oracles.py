@@ -5,11 +5,22 @@ Hadwiger number is recomputed by enumerating all partitions of the vertex
 set into connected parts and taking the largest clique in the quotient, an
 edge-count certificate bounds it from above, the treewidth is the least
 width over every elimination ordering, and tree decompositions are checked
-axiom by axiom.
+axiom by axiom.  `as_sympy` rebuilds a bound as a sympy expression, the
+independent reference for exact bound values.
 """
 from itertools import combinations, permutations
 
+import sympy
+
 from hadwiger.graphs import SimpleGraph
+
+
+def as_sympy(bound) -> sympy.Expr:
+    """The sympy expression of a `bounds.BoundValue`, built from its fields."""
+    return sympy.Rational(bound.const.numerator, bound.const.denominator) + sum(
+        (sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(r) for r, q in bound.terms),
+        sympy.Integer(0),
+    )
 
 
 def _adj_masks(g: SimpleGraph):

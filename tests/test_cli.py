@@ -104,6 +104,59 @@ def test_bounds_table(capsys):
     assert "full_upper" in out and "149" in out
 
 
+# `hadwiger bounds` output as the sympy-based bounds printed it: g = 0, k = 0,
+# p = 0, sqrt(g+p) and sqrt(6g) merging at (1, 5), and a large point
+BOUNDS_STDOUT = {
+    (0, 1, 2, 0, 0): """\
+surface_bound    4 (4.0000)
+lemma21_bound    1
+main_upper       149 (149.0000)
+full_upper       149 (149.0000)
+main_tool_bound  96 (96.0000)
+lower_guarantee  1/2 (0.5000)
+""",
+    (1, 5, 3, 1, 2): """\
+surface_bound    sqrt(6) + 4 (6.4495)
+lemma21_bound    8
+main_upper       5 + 193*sqrt(6) (477.7515)
+full_upper       6 + 193*sqrt(6) (478.7515)
+main_tool_bound  144*sqrt(6) (352.7265)
+lower_guarantee  1 + 3*sqrt(6)/4 (2.8371)
+""",
+    (3, 0, 4, 2, 1): """\
+surface_bound    4 + 3*sqrt(2) (8.2426)
+lemma21_bound    7
+main_upper       3*sqrt(2) + 5 + 240*sqrt(3) (424.9348)
+full_upper       3*sqrt(2) + 7 + 240*sqrt(3) (426.9348)
+main_tool_bound  192*sqrt(3) (332.5538)
+lower_guarantee  sqrt(3) + 2 (3.7321)
+""",
+    (2, 7, 0, 3, 5): """\
+surface_bound    2*sqrt(3) + 4 (7.4641)
+lemma21_bound    -1
+main_upper       2*sqrt(3) + 149 (152.4641)
+full_upper       2*sqrt(3) + 152 (155.4641)
+main_tool_bound  0 (0.0000)
+lower_guarantee  3 (3.0000)
+""",
+    (37, 1234, 17, 9, 11): """\
+surface_bound    4 + sqrt(222) (18.8997)
+lemma21_bound    203
+main_upper       5 + sqrt(222) + 864*sqrt(1271) (30822.4388)
+full_upper       14 + sqrt(222) + 864*sqrt(1271) (30831.4388)
+main_tool_bound  816*sqrt(1271) (29091.2869)
+lower_guarantee  9 + 17*sqrt(1271)/4 (160.5171)
+""",
+}
+
+
+@pytest.mark.parametrize("point", sorted(BOUNDS_STDOUT))
+def test_bounds_stdout_pinned(capsys, point):
+    g, p, k, a, tw = point
+    argv = ["bounds", "--g", str(g), "--p", str(p), "--k", str(k), "--a", str(a), "--tw", str(tw)]
+    assert run(argv, capsys) == (0, BOUNDS_STDOUT[point], "")
+
+
 def test_export_dot_and_json(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     run(["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(cert)], capsys)
@@ -187,6 +240,20 @@ def test_verify_never_evaluates_guarantee_expr(tmp_path, capsys, case):
     assert not marker.exists()
 
 
+@pytest.mark.parametrize("p, shown", [(10**40 + 7, "(14400000000000000000000.0000)"), (10**700, "(inf)")])
+def test_verify_huge_params_exits_1(tmp_path, capsys, p, shown):
+    # the guarantee of huge declared params is computed in bounded time, and
+    # a value past the largest double shows as inf
+    cert = tmp_path / "cert.json"
+    run(["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(cert)], capsys)
+    obj = json.loads(cert.read_text())
+    obj["structure"]["params"] = [0, p, 2, 0]
+    cert.write_text(json.dumps(obj))
+    code, out, err = run(["verify", str(cert)], capsys)
+    assert (code, err) == (1, "")
+    assert shown in out
+
+
 def test_verify_missing_guarantee_expr_exits_2(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     run(["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(cert)], capsys)
@@ -218,22 +285,33 @@ def _argv(case, tmp_path, capsys):
         path = tmp_path / "k5.json"
         path.write_text(serialize.dumps(serialize.graph_to_json(graphs.complete_graph(5))))
         return ["eta", str(path)]
-    construct = ["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(tmp_path / "cert.json")]
+    if case == "bounds":
+        return ["bounds", "--g", "1", "--p", "5", "--k", "3", "--a", "1"]
+    cert = str(tmp_path / "cert.json")
+    construct = ["construct", "--g", "0", "--p", "1", "--k", "2", "--out", cert]
     if case == "construct":
         return construct
     run(construct, capsys)
+    if case == "verify":
+        return ["verify", cert]
+    if case == "export":
+        return ["export", cert, "--out", str(tmp_path / "host.json")]
     obj = json.loads((tmp_path / "cert.json").read_text())
     obj["n"] = "2"
     (tmp_path / "cert.json").write_text(json.dumps(obj))
-    return ["verify", str(tmp_path / "cert.json")]
+    return ["verify", cert]
 
 
-# (exit code, sympy loaded): only building or comparing a guarantee needs sympy
+# (exit code, sympy loaded): exact bounds are plain integer arithmetic, so no
+# command loads sympy
 STARTUP = {
     "import": (None, False),
     "eta": (0, False),
     "verify-rejected": (2, False),
-    "construct": (0, True),
+    "construct": (0, False),
+    "verify": (0, False),
+    "bounds": (0, False),
+    "export": (0, False),
 }
 
 

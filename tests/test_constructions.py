@@ -13,6 +13,7 @@ from hadwiger.errors import (
     GZero,
     KTooSmall,
 )
+from oracles import as_sympy
 
 
 def triangle_face():
@@ -117,7 +118,7 @@ def test_one_vortex_g1_k1():
     assert cert.target == 3
     assert constructions.verify_certificate(cert).ok
     assert bool(cert.guarantee < 3)
-    assert cert.guarantee == sympy.sqrt(6)
+    assert as_sympy(cert.guarantee) == sympy.sqrt(6)
 
 
 def test_one_vortex_g1_k2():
@@ -129,7 +130,7 @@ def test_one_vortex_g1_k2():
 def test_one_vortex_g2_k1_uses_k6():
     cert = constructions.one_vortex(2, 1)
     assert cert.target == 5
-    assert cert.guarantee == sympy.sqrt(12)
+    assert as_sympy(cert.guarantee) == sympy.sqrt(12)
     assert constructions.verify_certificate(cert).ok
 
 
@@ -158,6 +159,12 @@ def test_many_vortex_p4_k2():
     assert constructions.verify_certificate(cert).ok
 
 
+@pytest.mark.parametrize("p, k", [(1, 2), (3, 3), (5, 2), (12, 4)])
+def test_many_vortex_guarantee_matches_sympy(p, k):
+    cert = constructions.many_vortex(p, k)
+    assert as_sympy(cert.guarantee) == sympy.Rational(2, 3) * k * sympy.sqrt(p) / sympy.sqrt(3)
+
+
 def test_many_vortex_floor_behavior():
     assert constructions.many_vortex(1, 3).target == 2
 
@@ -170,7 +177,7 @@ def test_many_vortex_rejects_k1():
 def test_combined_branches():
     high_genus = constructions.combined(2, 1, 2)
     assert high_genus.target == 10
-    assert bool(high_genus.guarantee == sympy.sqrt(3) / 2)
+    assert bool(as_sympy(high_genus.guarantee) == sympy.sqrt(3) / 2)
     flat = constructions.combined(0, 1, 2)
     assert flat.target == 2
     mixed = constructions.combined(1, 4, 2)
@@ -201,7 +208,7 @@ def test_with_apex_one_vortex_branch():
 
 def test_certificate_guarantee_is_exact():
     cert = constructions.with_apex(1, 1, 2, 3)
-    assert cert.guarantee == 3 + sympy.Rational(1, 2) * sympy.sqrt(2)
+    assert as_sympy(cert.guarantee) == 3 + sympy.Rational(1, 2) * sympy.sqrt(2)
 
 
 # SHA-256 of the serialized certificate of with_apex(g, p, k, a), pinned so
@@ -292,4 +299,8 @@ def test_catalog_decision_matches_sympy():
 
 def test_many_vortex_isqrt_matches_sympy():
     for p in range(1, 10001):
-        assert math.isqrt(p) == int(sympy.floor(sympy.sqrt(p))), p
+        m = math.isqrt(p)
+        assert m * m <= p < (m + 1) * (m + 1), p
+    for m in range(1, 101):
+        for p in (m * m - 1, m * m, m * m + 1):
+            assert math.isqrt(p) == int(sympy.floor(sympy.sqrt(p))), p
