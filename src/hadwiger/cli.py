@@ -8,6 +8,7 @@ JSON artifacts are key-sorted and byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -111,7 +112,9 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hadwiger",
         description="Construct, verify and bound complete-minor certificates.",
@@ -124,17 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--out", help="certificate output path (default stdout)")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="re-verify a certificate file")
     p.add_argument("certificate")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("eta", help="exact Hadwiger number of a graph file")
     p.add_argument("graph")
     p.add_argument("--cap", type=int, help="oracle vertex cap (env HADWIGER_ETA_CAP)")
     p.add_argument("--witness", help="write the witness model here")
-    p.set_defaults(func=cmd_eta)
 
     p = sub.add_parser("bounds", help="print all bound values for (g,p,k,a)")
     p.add_argument("--g", type=int, required=True)
@@ -142,21 +142,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--tw", type=int, default=0, help="treewidth for the degree bound")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("export", help="export a certificate's flattened graph")
     p.add_argument("certificate")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_export)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, not bound into the cached parser, so that a
+    # wrapper later put on a cmd_* function (a tracer's, say) is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (GenusOutOfCatalog, NotInCatalog) as exc:
         print(f"catalog: {exc}", file=sys.stderr)
         return EXIT_CATALOG

@@ -48,7 +48,10 @@ def verify_certificate(cert: ConstructionCertificate) -> Report:
         pattern.n == cert.target and pattern.m == cert.target * (cert.target - 1) // 2,
         (pattern.n, pattern.m),
     )
-    rep.extend(minors.verify_model(cert.model), prefix="model-")
+    # a complete minor needs a classical model, whatever multiplicity the
+    # certificate declares
+    classical = dataclasses.replace(cert.model, multiplicity=1)
+    rep.extend(minors.verify_model(classical), prefix="model-")
     rep.extend(vortex.validate_almost_embeddable(cert.structure), prefix="structure-")
     rep.add(
         "target-meets-guarantee",

@@ -83,6 +83,17 @@ class MultiEmbedding:
         """The facial walks of `trace_faces`, traced once per embedding."""
         return trace_faces(self)
 
+    @cached_property
+    def corners(self) -> dict[Dart, tuple[Dart, Dart]]:
+        """Each dart's successor and predecessor in the rotation at its
+        vertex, tabulated once per embedding for face tracing."""
+        table = {}
+        for rot in self.rotation.values():
+            d = len(rot)
+            for i, dart in enumerate(rot):
+                table[dart] = (rot[(i + 1) % d], rot[i - 1])
+        return table
+
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
 
@@ -140,16 +151,11 @@ class FacialWalk:
 
 def _face_successor(emb: MultiEmbedding, state):
     e, end, side = state
-    edge = emb.edges[e]
-    target = edge.ends[1 - end]
-    arrival = -side if edge.sign == 1 else side
-    rot = emb.rotation[target]
-    pos = rot.index((e, 1 - end))
+    arrival = -side if emb.edges[e].sign == 1 else side
+    after, before = emb.corners[(e, 1 - end)]
     if arrival == 1:
-        ne, nend = rot[(pos + 1) % len(rot)]
-        return (ne, nend, -1)
-    ne, nend = rot[(pos - 1) % len(rot)]
-    return (ne, nend, 1)
+        return (*after, -1)
+    return (*before, 1)
 
 
 def _arc_shift(emb: MultiEmbedding, state):
@@ -191,9 +197,9 @@ def trace_faces(emb: MultiEmbedding) -> tuple[FacialWalk, ...]:
     """All facial walks, deterministically ordered.
 
     Each edge contributes exactly two incidence-sides across the returned
-    walks (an edge may appear twice in one walk).
+    walks (an edge may appear twice in one walk).  `emb` must be valid, as
+    every builder of embeddings leaves it.
     """
-    emb.validate()
     all_states = sorted(
         (e, end, side) for e in emb.edges for end in (0, 1) for side in (1, -1)
     )

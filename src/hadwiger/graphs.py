@@ -39,7 +39,11 @@ def label_sort_key(label):
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected simple graph.  Immutable after construction."""
+    """Undirected simple graph.  Immutable after construction.
+
+    `adj` must be symmetric and loop-free; `from_edges` and the builders
+    below guarantee it, and `from_edges` rejects edges that break it.
+    """
 
     n: int
     adj: tuple[frozenset[int], ...]
@@ -50,12 +54,6 @@ class SimpleGraph:
             raise ValueError("adjacency/label length mismatch")
         if len(set(self.labels)) != self.n:
             raise ValueError("labels not unique")
-        for u, nbrs in enumerate(self.adj):
-            if u in nbrs:
-                raise ValueError(f"loop at vertex {u}")
-            for v in nbrs:
-                if not 0 <= v < self.n or u not in self.adj[v]:
-                    raise ValueError(f"adjacency not symmetric at {u}-{v}")
 
     @cached_property
     def label_index(self) -> dict:
@@ -86,6 +84,8 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]], labels=None) -> SimpleG
     for u, v in edges:
         if u == v:
             raise ValueError(f"loop at {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {u}-{v} leaves the vertex range 0..{n - 1}")
         adj[u].add(v)
         adj[v].add(u)
     if labels is None:
@@ -266,15 +266,17 @@ def union_by_labels(parts: Sequence[SimpleGraph]) -> SimpleGraph:
     Vertex order: first occurrence across `parts` in order."""
     labels: list = []
     index: dict = {}
+    adj: list[set[int]] = []
     for part in parts:
+        ids = []
         for lab in part.labels:
-            if lab not in index:
-                index[lab] = len(labels)
+            i = index.setdefault(lab, len(labels))
+            if i == len(labels):
                 labels.append(lab)
-    edges = set()
-    for part in parts:
-        for u, v in part.edges():
-            a = index[part.labels[u]]
-            b = index[part.labels[v]]
-            edges.add((min(a, b), max(a, b)))
-    return from_edges(len(labels), sorted(edges), tuple(labels))
+                adj.append(set())
+            ids.append(i)
+        for u, nbrs in zip(ids, part.adj):
+            adj[u].update([ids[v] for v in nbrs])
+    g = SimpleGraph(len(labels), tuple(map(frozenset, adj)), tuple(labels))
+    vars(g)["label_index"] = index
+    return g

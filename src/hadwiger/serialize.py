@@ -9,6 +9,9 @@ Schemas:
   model        {"pattern_n": t, "sets": {"x": [host indices]}, "k": 1}
   certificate  {"structure": ..., "model": ..., "n": ..., "guarantee_expr": ...}
 
+A certificate's model is verified as a multiplicity-1 (classical) model,
+whatever its `k` declares.
+
 All output is key-sorted so identical inputs give byte-identical files.
 """
 from __future__ import annotations
@@ -106,22 +109,25 @@ def embedding_to_json(emb: MultiEmbedding) -> dict:
 def embedding_from_json(obj: dict) -> MultiEmbedding:
     for key in ("edges", "vertices", "rotations"):
         _require(isinstance(obj[key], dict), f"embedding {key} is not an object")
+    for key in ("signatures", "edge_labels"):
+        _require(isinstance(obj.get(key, {}), dict), f"embedding {key} is not an object")
     signatures = {int(e): s for e, s in obj.get("signatures", {}).items()}
     edge_labels = {
         int(e): label_from_json(lab) for e, lab in obj.get("edge_labels", {}).items()
     }
+    # unpacking rejects an edge or a dart that is not a pair
     edges = {
         int(e): EmbEdge(
             int(e),
-            (ends[0], ends[1]),
+            (u, v),
             signatures.get(int(e), 1),
             edge_labels.get(int(e)),
         )
-        for e, ends in obj["edges"].items()
+        for e, (u, v) in obj["edges"].items()
     }
     labels = {int(v): label_from_json(lab) for v, lab in obj["vertices"].items()}
     rotation = {
-        int(v): tuple((d[0], d[1]) for d in rot) for v, rot in obj["rotations"].items()
+        int(v): tuple((e, end) for e, end in rot) for v, rot in obj["rotations"].items()
     }
     emb = MultiEmbedding(labels, edges, rotation)
     emb.validate()
@@ -135,13 +141,14 @@ def embedding_from_json_text(text: str) -> MultiEmbedding:
 # ---------------------------------------------------------------- vortices
 
 def vortex_to_json(v) -> dict:
+    # each bag label's encoding and sort key, once per vortex
+    code = {lab: label_to_json(lab) for lab in set().union(*v.bags)}
+    key = {lab: json.dumps(c) for lab, c in code.items()}
     return {
         "graph": graph_to_json(v.graph),
         "perimeter": [label_to_json(lab) for lab in v.perimeter],
         "bags": {
-            str(pos): sorted(
-                (label_to_json(lab) for lab in bag), key=lambda x: json.dumps(x)
-            )
+            str(pos): [code[lab] for lab in sorted(bag, key=key.__getitem__)]
             for pos, bag in enumerate(v.bags)
         },
     }

@@ -41,52 +41,57 @@ class Vortex:
 def validate_circular(v: Vortex) -> Report:
     """Check the four circular-decomposition properties."""
     rep = Report()
-    labels = set(v.graph.labels)
-    perim = list(v.perimeter)
-    perim_set = set(perim)
+    graph = v.graph
+    index = graph.label_index
+    perim = v.perimeter
     t = len(perim)
 
-    missing = [w for w in perim if w not in labels]
+    missing = [w for w in perim if w not in index]
     rep.add("perimeter-in-graph", not missing, missing or None)
 
     bad1 = [perim[i] for i in range(t) if perim[i] not in v.bags[i]]
     rep.add("property-1-own-bag", not bad1, bad1 or None)
 
-    # label -> ascending positions of the bags holding it
-    positions_of: dict = {}
+    # vertex -> ascending positions of the bags holding it
+    positions: list[list[int]] = [[] for _ in range(graph.n)]
     for i, bag in enumerate(v.bags):
         for lab in bag:
-            positions_of.setdefault(lab, []).append(i)
+            u = index.get(lab)
+            if u is not None:
+                positions[u].append(i)
 
-    bad2 = [lab for lab in labels if lab not in perim_set and lab not in positions_of]
+    # witnesses in the iteration order of the label set
+    uncovered = {graph.labels[u] for u, p in enumerate(positions) if not p}
+    bad2 = [
+        lab for lab in set(graph.labels) if lab in uncovered and lab not in perim
+    ] if uncovered else []
     rep.add("property-2-covers-vertices", not bad2, bad2 or None)
 
-    bad3 = []
-    for ui, wi in v.graph.edges():
-        lu, lw = v.graph.labels[ui], v.graph.labels[wi]
-        if set(positions_of.get(lu, ())).isdisjoint(positions_of.get(lw, ())):
-            bad3.append((lu, lw))
-    rep.add("property-3-covers-edges", not bad3, bad3 or None)
+    held = [set(p) for p in positions]
+    bad3 = sorted(
+        (u, w) for u, nbrs in enumerate(graph.adj) for w in nbrs
+        if u < w and held[u].isdisjoint(held[w])
+    )
+    rep.add(
+        "property-3-covers-edges",
+        not bad3,
+        [(graph.labels[u], graph.labels[w]) for u, w in bad3] or None,
+    )
 
-    bad4 = []
-    for lab in sorted(labels, key=graphs.label_sort_key):
-        positions = positions_of.get(lab)
-        if not positions:
-            continue
-        # occurrences must be consecutive in the circular order
-        runs = _circular_runs(positions, t)
-        if runs > 1:
-            bad4.append((lab, positions))
+    # occurrences must be consecutive in the circular order
+    bad4 = sorted(
+        ((graph.labels[u], p) for u, p in enumerate(positions) if p and not _one_run(p, t)),
+        key=lambda item: graphs.label_sort_key(item[0]),
+    )
     rep.add("property-4-consecutive", not bad4, bad4 or None)
     return rep
 
 
-def _circular_runs(positions: list[int], t: int) -> int:
-    """Number of maximal runs of consecutive positions on a t-cycle."""
-    if len(positions) in (0, t):
-        return min(len(positions), 1)
-    pos = set(positions)
-    return sum(1 for i in positions if (i - 1) % t not in pos)
+def _one_run(positions: list[int], t: int) -> bool:
+    """Whether ascending positions on a t-cycle are consecutive on it: they
+    span no more than their number, or leave at most one gap around it."""
+    p = positions
+    return p[-1] - p[0] < len(p) or sum(b - a != 1 for a, b in zip(p, p[1:] + [p[0] + t])) <= 1
 
 
 def vortex_width(v: Vortex) -> int:
@@ -211,13 +216,20 @@ def add_apexes(host: SimpleGraph, apex, apex_edges) -> SimpleGraph:
     edges: a structure's flattening from that of its apex-free part."""
     if not apex:
         return host
-    labels = list(host.labels) + list(apex)
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = list(host.edges())
-    for x, y in apex_edges:
-        i, j = index[x], index[y]
-        edges.append((min(i, j), max(i, j)))
-    return graphs.from_edges(len(labels), sorted(set(edges)), tuple(labels))
+    labels = host.labels + tuple(apex)
+    index = dict(host.label_index)
+    index.update((lab, i) for i, lab in enumerate(apex, start=host.n))
+    pairs = [(index[x], index[y]) for x, y in apex_edges]
+    loop = min((i for i, j in pairs if i == j), default=None)
+    if loop is not None:
+        raise ValueError(f"loop at {loop}")
+    adj = [set(a) for a in host.adj] + [set() for _ in apex]
+    for i, j in pairs:
+        adj[i].add(j)
+        adj[j].add(i)
+    g = SimpleGraph(len(labels), tuple(map(frozenset, adj)), labels)
+    vars(g)["label_index"] = index
+    return g
 
 
 def monotone_params_ok(small, large) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import hadwiger
-from hadwiger import graphs, serialize
+from hadwiger import cli, graphs, serialize
 from hadwiger.cli import main
 
 
@@ -14,6 +15,14 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_main_runs_the_current_command_function(monkeypatch, capsys):
+    # the parser is built once per process; a command function replaced
+    # after that (as a tracer wraps it) must still be the one that runs
+    assert run(["bounds", "--g", "0"], capsys)[0] == 0
+    monkeypatch.setattr(cli, "cmd_bounds", lambda args: 7)
+    assert run(["bounds", "--g", "0"], capsys)[0] == 7
 
 
 def test_construct_small(tmp_path, capsys):
@@ -202,9 +211,20 @@ WRONG_TYPES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
-def test_verify_wrong_field_type_exits_2(tmp_path, capsys, case):
-    path, value = WRONG_TYPES[case]
+# Out-of-range or wrongly shaped values that once let an exception escape.
+BAD_SHAPES = {
+    "vortex-edge-out-of-range": (["structure", "vortices", 0, "graph", "edges", 0], [0, 10**6]),
+    "vortex-n-negative": (["structure", "vortices", 0, "graph", "n"], -3),
+    "vortex-n-too-small": (["structure", "vortices", 0, "graph", "n"], 2),
+    "pattern-edge-out-of-range": (["model", "pattern_edges"], [[0, 10**6]]),
+    "base-edge-one-end": (["structure", "base", "edges", "0"], [0]),
+    "rotation-dart-one-end": (["structure", "base", "rotations", "4", 0], [0]),
+    "signatures-list": (["structure", "base", "signatures"], [1]),
+}
+
+
+def _verify_edited(tmp_path, capsys, path, value):
+    """Verify a (0,1,2,0) certificate with `value` put at the JSON `path`."""
     cert = tmp_path / "cert.json"
     run(["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(cert)], capsys)
     obj = json.loads(cert.read_text())
@@ -213,10 +233,39 @@ def test_verify_wrong_field_type_exits_2(tmp_path, capsys, case):
         owner = owner[key]
     owner[path[-1]] = value
     cert.write_text(json.dumps(obj))
-    code, out, err = run(["verify", str(cert)], capsys)
+    return run(["verify", str(cert)], capsys)
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_verify_wrong_field_type_exits_2(tmp_path, capsys, case):
+    code, out, err = _verify_edited(tmp_path, capsys, *WRONG_TYPES[case])
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_verify_bad_shape_exits_2(tmp_path, capsys, case):
+    code, out, err = _verify_edited(tmp_path, capsys, *BAD_SHAPES[case])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_checks_model_at_multiplicity_1(tmp_path, capsys):
+    # a multiplicity-2 model, set 12 repeating set 0, is no K13 minor
+    cert = tmp_path / "cert.json"
+    run(["construct", "--g", "1", "--p", "1", "--k", "4", "--out", str(cert)], capsys)
+    obj = json.loads(cert.read_text())
+    model = obj["model"]
+    assert (obj["n"], model["k"]) == (12, 1)
+    model["k"] = 2
+    model["sets"]["12"] = model["sets"]["0"]
+    model["pattern_n"] = obj["n"] = 13
+    cert.write_text(json.dumps(obj))
+    code, out, err = run(["verify", str(cert)], capsys)
+    assert (code, err) == (1, "")
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == ["model-capacity-1"]
 
 
 # guarantee_expr is display-only: verify recomputes the guarantee from params.
@@ -326,3 +375,61 @@ def test_startup_loads_sympy_only_for_guarantees(tmp_path, capsys, case):
         env=env, check=True, capture_output=True, timeout=120,
     )
     assert tuple(json.loads(result.read_text())) == STARTUP[case]
+
+
+# ------------------------------------------------------------ failure reports
+
+def _vortex0(obj):
+    return obj["structure"]["vortices"][0]
+
+
+def _swap_perimeter(obj):
+    # swap positions 0 and 2 with their bags: hubs lose consecutiveness
+    v = _vortex0(obj)
+    per, bags = v["perimeter"], v["bags"]
+    per[0], per[2] = per[2], per[0]
+    bags["0"], bags["2"] = bags["2"], bags["0"]
+
+
+def _drop_from_own_bag(obj):
+    v = _vortex0(obj)
+    own = v["perimeter"][1]
+    v["bags"]["1"] = [x for x in v["bags"]["1"] if x != own]
+
+
+def _edge_without_bag(obj):
+    # the first vertex pair, in index order, whose bags are disjoint
+    v = _vortex0(obj)
+    held: dict = {}
+    for pos, bag in v["bags"].items():
+        for lab in bag:
+            held.setdefault(json.dumps(lab), set()).add(pos)
+    graph = v["graph"]
+    bags_of = [held.get(json.dumps(graph["labels"][str(i)]), set()) for i in range(graph["n"])]
+    pair = next(
+        [i, j] for i in range(graph["n"]) for j in range(i + 1, graph["n"])
+        if bags_of[i].isdisjoint(bags_of[j])
+    )
+    graph["edges"].append(pair)
+
+
+# SHA-256 of `verify` stdout on broken (1,2,3,1) certificates, recorded
+# before vortex validation and flattening ran on vertex indices
+FAILURE_REPORTS = {
+    "perimeter-swap": (_swap_perimeter, "42d41b9c017925a7150f52d84e384ef17dd526ff723e2712463f868e0695e87c"),
+    "outside-own-bag": (_drop_from_own_bag, "43c6d690de347fdc41a8cd8be359cda46bfe0766ad6f304b9c453d6d4a6ff94a"),
+    "edge-without-bag": (_edge_without_bag, "1ae981589942182b6a109ea30338269289af4ab1cf637cf9b2fd43ffb1d011bb"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_REPORTS))
+def test_verify_failure_report_pinned(tmp_path, capsys, case):
+    breaker, digest = FAILURE_REPORTS[case]
+    cert = tmp_path / "cert.json"
+    run(["construct", "--g", "1", "--p", "2", "--k", "3", "--a", "1", "--out", str(cert)], capsys)
+    obj = json.loads(cert.read_text())
+    breaker(obj)
+    cert.write_text(json.dumps(obj))
+    code, out, err = run(["verify", str(cert)], capsys)
+    assert (code, err) == (1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,0 +1,72 @@
+"""Fuzz `hadwiger verify` with hostile integer and list fields.
+
+One field of a serialized (1,2,3,1) certificate is overwritten with an
+out-of-range or wrongly shaped value.  Whatever the value, `cli.main` must
+return 0, 1 or 2 and let no exception escape.
+"""
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hadwiger.cli import main
+
+# JSON paths of the fuzzed fields; ANY stands for one member of the
+# container there (a list position or an object key), drawn per example.
+ANY = object()
+FIELDS = [
+    ("structure", "vortices", 0, "graph", "n"),
+    ("structure", "vortices", 0, "graph", "edges"),
+    ("structure", "vortices", 0, "graph", "edges", ANY),
+    ("model", "pattern_n"),
+    ("model", "pattern_edges"),
+    ("structure", "base", "edges", ANY),
+    ("structure", "base", "rotations", ANY),
+    ("structure", "base", "rotations", ANY, ANY),
+    ("model", "sets", ANY),
+    ("model", "sets", ANY, ANY),
+]
+
+# Far-out values go only into lists: a declared pattern order is built as a
+# complete graph, so a huge order would take the memory of K_(10^6).
+ORDERS = st.integers(-3, 60)
+MEMBERS = ORDERS | st.sampled_from([10**6, -(10**6)])
+VALUES = ORDERS | st.lists(MEMBERS, max_size=3) | st.lists(st.lists(MEMBERS, max_size=3), max_size=3)
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "cert.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["construct", "--g", "1", "--p", "2", "--k", "3", "--a", "1", "--out", str(path)]) == 0
+    return path, path.read_text()
+
+
+def _put(obj, field, picks, value):
+    """Overwrite `field` of `obj` with `value`; `picks` choose the ANY members."""
+    picks = iter(picks)
+    owner = obj
+    for depth, step in enumerate(field):
+        if step is ANY:
+            members = sorted(owner) if isinstance(owner, dict) else range(len(owner))
+            step = members[next(picks) % len(members)]
+        if depth == len(field) - 1:
+            owner[step] = value
+        else:
+            owner = owner[step]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(FIELDS), picks=st.lists(st.integers(0, 999), min_size=2, max_size=2), value=VALUES)
+def test_hostile_field_never_escapes(base, field, picks, value):
+    path, text = base
+    obj = json.loads(text)
+    _put(obj, field, picks, value)
+    mutant = path.with_name("mutant.json")
+    mutant.write_text(json.dumps(obj))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", str(mutant)])
+    assert code in (0, 1, 2)
