@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: construct, verify, eta, bounds, export.  Exit codes are part of
-the contract: 0 ok, 1 verification failure, 2 usage or parameter error,
+the contract: 0 ok, 1 verification failure, 2 usage, parameter or input error,
 3 catalog gap, 4 oracle budget exceeded.  All outputs are deterministic;
 JSON artifacts are key-sorted and byte-identical across runs.
 """
@@ -43,6 +43,20 @@ def _write(path: str | None, text: str):
         sys.stdout.write(text)
 
 
+class Unreadable(Exception):
+    """An input file that could not be read or decoded (exit 2)."""
+
+
+def _load(path: str, decode, what: str):
+    """`decode` of the JSON in the file at `path`; every failure to read or
+    decode it, over-deep nesting included, raises `Unreadable`."""
+    try:
+        with open(path) as f:
+            return decode(json.load(f))
+    except (OSError, ValueError, KeyError, TypeError, RecursionError, HadwigerError) as exc:
+        raise Unreadable(f"unreadable {what}: {exc}") from exc
+
+
 def cmd_construct(args) -> int:
     cert = constructions.with_apex(args.g, args.p, args.k, args.a)
     rep = constructions.verify_certificate(cert)
@@ -54,13 +68,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.certificate) as f:
-            obj = json.load(f)
-        cert = serialize.certificate_from_json(obj)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"unreadable certificate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cert = _load(args.certificate, serialize.certificate_from_json, "certificate")
     rep = constructions.verify_certificate(cert)
     g, p, k, a = cert.structure.params
     rep.extend(bounds.sandwich_check(cert, g, p, k, a), prefix="sandwich-")
@@ -69,12 +77,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    try:
-        with open(args.graph) as f:
-            g = serialize.graph_from_json(json.load(f))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"unreadable graph: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _load(args.graph, serialize.graph_from_json, "graph")
     cap = args.cap if args.cap is not None else default_cap()
     eta, model = minors.hadwiger_model(g, cap=cap)
     print(eta)
@@ -98,12 +101,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        with open(args.certificate) as f:
-            cert = serialize.certificate_from_json(json.load(f))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"unreadable certificate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cert = _load(args.certificate, serialize.certificate_from_json, "certificate")
     host = cert.structure.host
     if args.format == "dot":
         _write(args.out, serialize.graph_to_dot(host))
@@ -157,6 +155,9 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
+    except Unreadable as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     except (GenusOutOfCatalog, NotInCatalog) as exc:
         print(f"catalog: {exc}", file=sys.stderr)
         return EXIT_CATALOG

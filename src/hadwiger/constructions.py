@@ -88,7 +88,7 @@ def construct_vortex_graph(
     if uncovered:
         raise FacesDontCoverVertices(f"vertices {sorted(uncovered)} lie on no face")
 
-    base_graph = embeddings.underlying_simple(emb)
+    base_graph = emb.simple
     multiplied = embeddings.multiply_edges(emb, k)
     # The face on side +1 of an old dart is the face on side +1 of the last
     # dart of its copy block, and side -1 maps to the first block dart.
@@ -99,17 +99,6 @@ def construct_vortex_graph(
         block = blocks[(e, end)]
         ce, cend = block[-1] if side == 1 else block[0]
         images.append(embeddings.face_through(multiplied, (ce, cend, side)))
-
-    # remember, per copy, its (i, j) label and its ascending-order endpoints
-    copy_info = {}
-    for e, edge in multiplied.edges.items():
-        p, q = edge.ends
-        small, big = (p, q) if p < q else (q, p)
-        copy_info[e] = (
-            edge.label,
-            emb.vertex_labels[small],
-            emb.vertex_labels[big],
-        )
 
     h0 = embeddings.split_at_faces(multiplied, images)
     # splitting keeps every state of a split face on that face
@@ -150,7 +139,9 @@ def construct_vortex_graph(
     for e, edge in h0.edges.items():
         if edge.label is None:
             continue
-        (i, j), small_lab, big_lab = copy_info[e]
+        # the copy's (i, j) label indexes its original ends in ascending order
+        i, j = edge.label
+        small_lab, big_lab = (emb.vertex_labels[u] for u in sorted(multiplied.edges[e].ends))
         l0, l1 = (h0.vertex_labels[u] for u in edge.ends)
         if embeddings.owner_label(l0) == big_lab:
             l0, l1 = l1, l0
@@ -297,12 +288,10 @@ def with_apex(g: int, p: int, k: int, a: int) -> ConstructionCertificate:
     # the apex-free structure is already flattened: add the apexes to its host
     host = vars(structure)["host"] = vortex.add_apexes(old_host, apex, apex_edges)
     n = cert.target
-    sets = {
-        x: frozenset(host.index_of(old_host.labels[v]) for v in s)
-        for x, s in cert.model.branch_sets.items()
-    }
+    # add_apexes keeps the old host's indices and numbers apex j after them
+    sets = dict(cert.model.branch_sets)
     for j in range(1, a + 1):
-        sets[n + j - 1] = frozenset({host.index_of(("apex", j))})
+        sets[n + j - 1] = frozenset({old_host.n + j - 1})
     model = MinorModel(host, graphs.complete_graph(n + a), sets, 1)
     return ConstructionCertificate(
         structure=structure,

@@ -143,22 +143,6 @@ def lex_product(g: SimpleGraph, k: int) -> SimpleGraph:
     return from_edges(g.n * k, edges, labels)
 
 
-def add_apex(g: SimpleGraph, a: int) -> SimpleGraph:
-    """Add `a` dominant vertices, adjacent to everything (including each other).
-    Apex j is labeled ("apex", j), j in [1, a]."""
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    if a == 0:
-        return g
-    n = g.n + a
-    edges = list(g.edges())
-    for j in range(a):
-        w = g.n + j
-        edges.extend((u, w) for u in range(w))
-    labels = g.labels + tuple(("apex", j) for j in range(1, a + 1))
-    return from_edges(n, edges, labels)
-
-
 def min_degree(g: SimpleGraph) -> int:
     if g.n == 0:
         return 0
@@ -225,18 +209,6 @@ def clique_sum_with_embeddings(
 
 def clique_sum(g1, c1, g2, c2, drop=()) -> SimpleGraph:
     return clique_sum_with_embeddings(g1, c1, g2, c2, drop)[0]
-
-
-def disjoint_union(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
-    """Degenerate clique-sum over the empty clique."""
-    return clique_sum(g1, [], g2, [])
-
-
-def induced_subgraph(g: SimpleGraph, vertices: Iterable[int]) -> SimpleGraph:
-    vs = sorted(set(vertices))
-    pos = {v: i for i, v in enumerate(vs)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
-    return from_edges(len(vs), edges, tuple(g.labels[v] for v in vs))
 
 
 def is_connected_subset(g: SimpleGraph, vertices: Iterable[int]) -> bool:

@@ -134,10 +134,6 @@ def embedding_from_json(obj: dict) -> MultiEmbedding:
     return emb
 
 
-def embedding_from_json_text(text: str) -> MultiEmbedding:
-    return embedding_from_json(json.loads(text))
-
-
 # ---------------------------------------------------------------- vortices
 
 def vortex_to_json(v) -> dict:
@@ -239,6 +235,8 @@ def model_from_json(obj: dict, host: SimpleGraph):
 
     t = obj["pattern_n"]
     _require(_is_int(t), "model pattern_n is not an integer")
+    # before any pattern is built: a minor has at most as many vertices as its host
+    _require(0 <= t <= host.n, f"model pattern_n is outside 0..{host.n}")
     _require(_is_int(obj.get("k", 1)), "model k is not an integer")
     _require(
         isinstance(obj["sets"], dict) and all(

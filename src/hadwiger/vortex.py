@@ -206,7 +206,7 @@ def flatten(a: AlmostEmbeddable) -> SimpleGraph:
     """The union of base, vortex graphs and apex edges as one simple graph.
     Labels are preserved; deterministic vertex order (base first, then the
     vortices in order, then apexes)."""
-    parts = [embeddings.underlying_simple(a.base)]
+    parts = [a.base.simple]
     parts.extend(v.graph for v in a.vortices)
     return add_apexes(graphs.union_by_labels(parts), a.apex, a.apex_edges)
 
@@ -231,7 +231,3 @@ def add_apexes(host: SimpleGraph, apex, apex_edges) -> SimpleGraph:
     vars(g)["label_index"] = index
     return g
 
-
-def monotone_params_ok(small, large) -> bool:
-    """Componentwise parameter monotonicity for the structure classes."""
-    return all(s <= l for s, l in zip(small, large))

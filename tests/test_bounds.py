@@ -19,7 +19,7 @@ def test_surface_bound_values():
 def test_surface_bound_holds_for_k7():
     emb = embeddings.triangulation_catalog(7)
     g = embeddings.euler_genus(emb)
-    eta = minors.hadwiger_oracle(embeddings.underlying_simple(emb))
+    eta = minors.hadwiger_oracle(emb.simple)
     assert eta == 7
     assert bounds.surface_bound(g) >= eta
 

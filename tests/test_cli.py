@@ -220,6 +220,9 @@ BAD_SHAPES = {
     "base-edge-one-end": (["structure", "base", "edges", "0"], [0]),
     "rotation-dart-one-end": (["structure", "base", "rotations", "4", 0], [0]),
     "signatures-list": (["structure", "base", "signatures"], [1]),
+    "rotation-dart-unknown-edge": (["structure", "base", "rotations", "4", 0], [10**6, 0]),
+    "signature-not-a-sign": (["structure", "base", "signatures"], {"0": 5}),
+    "pattern-n-huge": (["model", "pattern_n"], 10**6),
 }
 
 
@@ -250,6 +253,28 @@ def test_verify_bad_shape_exits_2(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+# Nested deeper than decoding can recurse: the whole file, or a label in it.
+DEEP_TEXT = "[" * 10**5
+DEEP_LABEL = "[" * 900 + "]" * 900
+
+
+@pytest.mark.parametrize("command", ["verify", "eta", "export"])
+def test_deep_nesting_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "input.json"
+    if command == "eta":
+        obj = {"n": 1, "edges": [], "labels": {"0": "DEEP"}}
+    else:
+        run(["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(path)], capsys)
+        obj = json.loads(path.read_text())
+        obj["structure"]["apex"] = ["DEEP"]
+    for text in (DEEP_TEXT, json.dumps(obj).replace('"DEEP"', DEEP_LABEL)):
+        path.write_text(text)
+        code, out, err = run([command, str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_checks_model_at_multiplicity_1(tmp_path, capsys):

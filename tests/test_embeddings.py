@@ -12,7 +12,6 @@ from hadwiger.embeddings import (
     split_at_faces,
     trace_faces,
     triangulation_catalog,
-    underlying_simple,
 )
 from hadwiger.errors import Disconnected, FacesNotDisjoint, MalformedRotation, NotInCatalog
 
@@ -155,7 +154,7 @@ def test_split_at_disjoint_faces_only():
 
 def test_underlying_simple_collapses_copies():
     big = multiply_edges(k4_embedding(), 3)
-    simple = underlying_simple(big)
+    simple = big.simple
     assert simple.n == 4 and simple.m == 6
 
 

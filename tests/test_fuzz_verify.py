@@ -1,8 +1,9 @@
-"""Fuzz `hadwiger verify` with hostile integer and list fields.
+"""Fuzz `hadwiger verify` with hostile values in its fields.
 
 One field of a serialized (1,2,3,1) certificate is overwritten with an
-out-of-range or wrongly shaped value.  Whatever the value, `cli.main` must
-return 0, 1 or 2 and let no exception escape.
+out-of-range or wrongly shaped value: an integer, a string, a label object
+or nested lists of these.  Whatever the value, `cli.main` must return 0, 1
+or 2 and let no exception escape.
 """
 import contextlib
 import io
@@ -17,24 +18,48 @@ from hadwiger.cli import main
 # JSON paths of the fuzzed fields; ANY stands for one member of the
 # container there (a list position or an object key), drawn per example.
 ANY = object()
+VORTEX = ("structure", "vortices", 0)
+BASE = ("structure", "base")
 FIELDS = [
-    ("structure", "vortices", 0, "graph", "n"),
-    ("structure", "vortices", 0, "graph", "edges"),
-    ("structure", "vortices", 0, "graph", "edges", ANY),
+    (*VORTEX, "graph", "n"),
+    (*VORTEX, "graph", "edges"),
+    (*VORTEX, "graph", "edges", ANY),
+    (*VORTEX, "graph", "labels"),
+    (*VORTEX, "graph", "labels", ANY),
+    (*VORTEX, "perimeter"),
+    (*VORTEX, "perimeter", ANY),
+    (*VORTEX, "bags"),
+    (*VORTEX, "bags", ANY),
+    (*VORTEX, "bags", ANY, ANY),
     ("model", "pattern_n"),
     ("model", "pattern_edges"),
-    ("structure", "base", "edges", ANY),
-    ("structure", "base", "rotations", ANY),
-    ("structure", "base", "rotations", ANY, ANY),
     ("model", "sets", ANY),
     ("model", "sets", ANY, ANY),
+    (*BASE, "vertices"),
+    (*BASE, "vertices", ANY),
+    (*BASE, "edges", ANY),
+    (*BASE, "rotations", ANY),
+    (*BASE, "rotations", ANY, ANY),
+    (*BASE, "signatures"),
+    (*BASE, "signatures", ANY),
+    (*BASE, "edge_labels"),
+    (*BASE, "edge_labels", ANY),
+    ("structure", "apex"),
+    ("structure", "apex", ANY),
+    ("structure", "apex_edges"),
+    ("structure", "apex_edges", ANY),
+    ("structure", "apex_edges", ANY, ANY),
 ]
 
-# Far-out values go only into lists: a declared pattern order is built as a
-# complete graph, so a huge order would take the memory of K_(10^6).
-ORDERS = st.integers(-3, 60)
-MEMBERS = ORDERS | st.sampled_from([10**6, -(10**6)])
-VALUES = ORDERS | st.lists(MEMBERS, max_size=3) | st.lists(st.lists(MEMBERS, max_size=3), max_size=3)
+ORDERS = st.integers(-3, 60) | st.sampled_from([10**6, -(10**6)])
+ATOMS = ORDERS | st.text("ab", max_size=2)
+VALUES = st.recursive(
+    ATOMS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.builds(lambda x: {"split": x}, inner)
+    | st.builds(lambda x: {"str": x}, inner),
+    max_leaves=6,
+)
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +77,9 @@ def _put(obj, field, picks, value):
     for depth, step in enumerate(field):
         if step is ANY:
             members = sorted(owner) if isinstance(owner, dict) else range(len(owner))
-            step = members[next(picks) % len(members)]
+            pick = next(picks)
+            # an empty object (the base's signatures) gets a new key
+            step = members[pick % len(members)] if members else str(pick)
         if depth == len(field) - 1:
             owner[step] = value
         else:

@@ -47,15 +47,6 @@ def test_lex_product_labels():
     assert prod.m == 6
 
 
-def test_add_apex_dominates():
-    g = graphs.cycle_graph(4)
-    ap = graphs.add_apex(g, 2)
-    assert ap.n == 6
-    for j in (4, 5):
-        assert ap.degree(j) == 5
-    assert ap.labels[4] == ("apex", 1)
-
-
 def test_split_label_is_not_a_tuple():
     # hub labels like (0, 1) must never collide with Split(0, 1)
     assert Split(0, 1) != (0, 1)
@@ -79,25 +70,12 @@ def test_clique_sum_rejects_non_clique():
         graphs.clique_sum(c4, [0, 1], graphs.complete_graph(3), [0, 1, 2])
 
 
-def test_disjoint_union():
-    u = graphs.disjoint_union(
-        graphs.complete_graph(3), graphs.complete_graph(3).relabel("xyz")
-    )
-    assert u.n == 6 and u.m == 6
-    assert not graphs.is_connected(u)
-
-
-def test_induced_subgraph():
-    g = graphs.grid_graph(2)
-    sub = graphs.induced_subgraph(g, [0, 1, 3])
-    assert sub.n == 3 and sub.m == 2
-
-
 def test_is_connected_subset():
     g = graphs.grid_graph(3)
     assert graphs.is_connected_subset(g, [0, 1, 2])
     assert not graphs.is_connected_subset(g, [0, 8])
     assert not graphs.is_connected_subset(g, [])
+    assert not graphs.is_connected(graphs.from_edges(4, [(0, 1), (2, 3)]))
 
 
 def test_union_by_labels_glues_on_labels():

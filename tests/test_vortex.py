@@ -146,7 +146,7 @@ def test_flatten_no_vortices_is_base_graph():
     emb = embeddings.triangulation_catalog(4)
     a = AlmostEmbeddable(base=emb, params=(0, 0, 0, 0))
     flat = vortex.flatten(a)
-    base = embeddings.underlying_simple(emb)
+    base = emb.simple
     assert flat.labels == base.labels and flat.edges() == base.edges()
 
 
@@ -160,7 +160,7 @@ def test_flatten_k3_blowup_contains_k6():
 
 def test_apex_raises_hadwiger_number_by_count():
     emb = embeddings.triangulation_catalog(4)
-    base = embeddings.underlying_simple(emb)
+    base = emb.simple
     bare = AlmostEmbeddable(base=emb, params=(0, 0, 0, 0))
     eta0 = minors.hadwiger_oracle(vortex.flatten(bare))
     apexed = AlmostEmbeddable(
@@ -176,7 +176,3 @@ def test_apex_raises_hadwiger_number_by_count():
     assert vortex.validate_almost_embeddable(apexed).ok
     assert minors.hadwiger_oracle(vortex.flatten(apexed)) == eta0 + 2
 
-
-def test_monotone_params():
-    assert vortex.monotone_params_ok((0, 1, 2, 0), (1, 1, 3, 2))
-    assert not vortex.monotone_params_ok((2, 1, 2, 0), (1, 1, 3, 2))
