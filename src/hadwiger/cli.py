@@ -8,6 +8,7 @@ JSON artifacts are key-sorted and byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -47,14 +48,20 @@ class Unreadable(Exception):
     """An input file that could not be read or decoded (exit 2)."""
 
 
-def _load(path: str, decode, what: str):
-    """`decode` of the JSON in the file at `path`; every failure to read or
-    decode it, over-deep nesting included, raises `Unreadable`."""
+@contextlib.contextmanager
+def _decoding(what: str):
+    """Every failure to read or decode an input inside the block, over-deep
+    nesting included, raises `Unreadable`."""
     try:
-        with open(path) as f:
-            return decode(json.load(f))
+        yield
     except (OSError, ValueError, KeyError, TypeError, RecursionError, HadwigerError) as exc:
         raise Unreadable(f"unreadable {what}: {exc}") from exc
+
+
+def _load(path: str, decode, what: str):
+    """`decode` of the JSON in the file at `path`."""
+    with _decoding(what), open(path) as f:
+        return decode(json.load(f))
 
 
 def cmd_construct(args) -> int:
@@ -77,8 +84,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    g = _load(args.graph, serialize.graph_from_json, "graph")
     cap = args.cap if args.cap is not None else default_cap()
+    n, obj = _load(args.graph, lambda obj: (serialize.graph_order(obj), obj), "graph")
+    # the declared n meets the cap before n vertices are allocated; outside
+    # `_decoding`, so that a refusal exits 4, not 2
+    minors.check_budget(n, cap)
+    with _decoding("graph"):
+        g = serialize.graph_from_json(obj)
     eta, model = minors.hadwiger_model(g, cap=cap)
     print(eta)
     if args.witness:

@@ -248,6 +248,17 @@ def find_facial_cycle(emb: MultiEmbedding, cycle: Sequence[int]) -> FacialWalk:
     raise NotACycle(f"{list(cycle)} is not a facial cycle")
 
 
+def _is_face(emb: MultiEmbedding, walk: FacialWalk) -> bool:
+    """Whether `walk` is a facial walk of `emb` as `trace_faces` gives it:
+    the face through its own first dart-side.  Only that face is traced."""
+    if not walk.states:
+        return False
+    e, end, side = walk.states[0]
+    if e not in emb.edges or end not in (0, 1) or side not in (1, -1):
+        return False
+    return face_through(emb, walk.states[0]) == walk
+
+
 def split_at_faces(
     emb: MultiEmbedding, faces: Sequence[FacialWalk]
 ) -> MultiEmbedding:
@@ -258,10 +269,9 @@ def split_at_faces(
     vertices are labeled Split(owner, i), i counted 1..d from the face corner.
     Faces correspond one-to-one before and after.
     """
-    traced = {w.incidences for w in emb.faces}
     seen_vertices: set[int] = set()
     for w in faces:
-        if w.incidences not in traced:
+        if not _is_face(emb, w):
             raise NotACycle("walk is not a facial walk of this embedding")
         if not w.is_cycle:
             raise NotACycle(f"facial walk {w.vertices} repeats a vertex")

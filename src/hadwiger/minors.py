@@ -7,10 +7,12 @@ they share a vertex or the host has an edge between them.  A multiplicity-1
 model is the classical notion: disjoint sets, one host edge per pattern edge.
 
 The oracles are exact and exponential; they refuse hosts above a vertex cap.
-`hadwiger_model` searches contractions depth first on bitmask quotients.  It
-prunes a state whose quotient has too few bags or too few edges for a clique
-larger than the best one found, and stops once that clique reaches the width
-of a min-degree elimination plus one, an upper bound on the Hadwiger number.
+`hadwiger_model` searches contractions depth first on bitmask quotients.  A
+contraction is pruned in its parent, before its state is built, when it
+would leave too few bags or too few edges for a clique larger than the best
+one found; each quotient's clique search starts at that best size, and the
+search stops once the best clique reaches the width of a min-degree
+elimination plus one, an upper bound on the Hadwiger number.
 `treewidth_ordering` computes the exact treewidth by a DP over elimination
 prefixes on neighbourhood masks and returns an optimal ordering as witness.
 """
@@ -179,18 +181,23 @@ def _adj_masks(g: SimpleGraph) -> list[int]:
     return adj
 
 
-def _max_clique_masks(adj: list[int]) -> list[int]:
+def _max_clique_masks(adj: list[int], floor: int = 0) -> list[int]:
     """Pivoted Bron-Kerbosch on adjacency masks; the first maximum clique
-    in its branching order, sorted."""
+    in its branching order, sorted, or [] when no clique is larger than
+    `floor`.  A branch is cut once it cannot beat both `floor` and the
+    largest clique found; the branching order does not depend on either,
+    so any `floor` below the clique number gives the same clique as 0."""
     best = []
+    bound = floor
 
     def expand(r: list[int], p: int, x: int):
-        nonlocal best
+        nonlocal best, bound
         if p == 0 and x == 0:
-            if len(r) > len(best):
+            if len(r) > bound:
                 best = list(r)
+                bound = len(r)
             return
-        if len(r) + p.bit_count() <= len(best):
+        if len(r) + p.bit_count() <= bound:
             return
         pivot = (p | x).bit_length() - 1
         candidates = p & ~adj[pivot]
@@ -232,9 +239,10 @@ def min_degree_width(adj_masks: list[int]) -> int:
     return width
 
 
-def _check_budget(g: SimpleGraph, cap: int):
-    if g.n > cap:
-        raise BudgetExceeded(f"host has {g.n} vertices, oracle cap is {cap}")
+def check_budget(n: int, cap: int):
+    """Refuse a host of `n` vertices above the oracles' vertex cap."""
+    if n > cap:
+        raise BudgetExceeded(f"host has {n} vertices, oracle cap is {cap}")
 
 
 def hadwiger_model(g: SimpleGraph, cap: int = 12) -> tuple[int, MinorModel]:
@@ -242,13 +250,17 @@ def hadwiger_model(g: SimpleGraph, cap: int = 12) -> tuple[int, MinorModel]:
 
     Search over edge contractions: the answer is the maximum clique number
     over all quotients by connected partitions.  States are memoized by the
-    partition and searched depth first.  A state is pruned when its
-    quotient has no more bags than the best clique known, or fewer edges
-    than a clique one larger needs: contraction never adds quotient edges.
-    The search stops once the best clique reaches the min-degree width
-    plus one, an upper bound on η (η ≤ treewidth + 1).
+    partition (a sorted tuple of bag masks) and searched depth first.  A
+    contraction of two adjacent bags is skipped in the parent, before the
+    child is built, when the child would have no more bags than the best
+    clique known, or fewer edges than a clique one larger needs: its edge
+    count is the parent's less one, less the two bags' common neighbours,
+    and contraction never adds quotient edges.  Each quotient's clique
+    search only looks for cliques larger than the best known.  The search
+    stops once the best clique reaches the min-degree width plus one, an
+    upper bound on η (η ≤ treewidth + 1).
     """
-    _check_budget(g, cap)
+    check_budget(g.n, cap)
     if g.n == 0:
         raise ValueError("empty host")
     adj = _adj_masks(g)
@@ -256,17 +268,15 @@ def hadwiger_model(g: SimpleGraph, cap: int = 12) -> tuple[int, MinorModel]:
 
     best = 0
     best_bags: tuple = ()
+    # bags are kept sorted and disjoint, so the tuple is its own memo key
     visited: set = set()
 
     def search(bags: tuple):
         nonlocal best, best_bags
-        key = frozenset(bags)
-        if key in visited:
+        if bags in visited:
             return
-        visited.add(key)
+        visited.add(bags)
         q = len(bags)
-        if q <= best:
-            return
         quotient = []
         edges = 0
         for bag in bags:
@@ -284,14 +294,10 @@ def hadwiger_model(g: SimpleGraph, cap: int = 12) -> tuple[int, MinorModel]:
             quotient.append(row)
             edges += row.bit_count()
         edges //= 2
-        if edges < (best + 1) * best // 2:
-            return
-        clique = _max_clique_masks(quotient)
-        if len(clique) > best:
+        clique = _max_clique_masks(quotient, best)
+        if clique:
             best = len(clique)
             best_bags = tuple(bags[i] for i in clique)
-        if edges == q * (q - 1) // 2:
-            return
         for i in range(q):
             later = quotient[i] & ~((2 << i) - 1)
             while later:
@@ -299,6 +305,15 @@ def hadwiger_model(g: SimpleGraph, cap: int = 12) -> tuple[int, MinorModel]:
                 later &= later - 1
                 if best == ceiling:
                     return
+                # merging bags i and j leaves q - 1 bags and drops edge ij
+                # plus one edge per common neighbour: prune that child here,
+                # before it is built or memoised (best never decreases, so
+                # it would be pruned at every later visit too)
+                if q - 1 <= best or (
+                    edges - 1 - (quotient[i] & quotient[j]).bit_count()
+                    < (best + 1) * best // 2
+                ):
+                    continue
                 merged = tuple(
                     sorted(
                         [bags[t] for t in range(q) if t not in (i, j)]
@@ -336,7 +351,7 @@ def treewidth_ordering(g: SimpleGraph, cap: int = 12) -> tuple[int, list[int]]:
     when TW(S - v) already reaches S's best cost.  Each prefix's argmin
     vertex, read back from the full set, is the witness ordering.
     """
-    _check_budget(g, cap)
+    check_budget(g.n, cap)
     n = g.n
     adj = _adj_masks(g)
     full = (1 << n) - 1

@@ -72,8 +72,16 @@ def graph_to_json(g: SimpleGraph) -> dict:
     }
 
 
-def graph_from_json(obj: dict) -> SimpleGraph:
+def graph_order(obj: dict) -> int:
+    """A graph object's declared vertex count, checked to be a nonnegative
+    integer before anything is allocated for it."""
     n = obj["n"]
+    _require(_is_int(n) and n >= 0, "graph n is not a nonnegative integer")
+    return n
+
+
+def graph_from_json(obj: dict) -> SimpleGraph:
+    n = graph_order(obj)
     labels = None
     if obj.get("labels"):
         labels = tuple(label_from_json(obj["labels"][str(i)]) for i in range(n))
@@ -153,6 +161,13 @@ def vortex_to_json(v) -> dict:
 def vortex_from_json(obj: dict):
     from .vortex import Vortex
 
+    # the labels tie the declared n to the file's size before n vertices
+    # are allocated
+    labels = obj["graph"].get("labels")
+    _require(
+        isinstance(labels, dict) and len(labels) == graph_order(obj["graph"]),
+        "vortex graph does not carry one label per vertex",
+    )
     graph = graph_from_json(obj["graph"])
     perimeter = tuple(label_from_json(x) for x in obj["perimeter"])
     bags = tuple(

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -255,6 +256,43 @@ def test_verify_bad_shape_exits_2(tmp_path, capsys, case):
     assert len(err.strip().splitlines()) == 1
 
 
+def _child_env():
+    """The environment for a child interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(hadwiger.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _cli_in_child(argv):
+    """`hadwiger argv` in a child process whose address space is capped at
+    1 GiB, so that allocating a declared n fails fast instead of filling
+    the machine."""
+    return subprocess.run(
+        [sys.executable, "-m", "hadwiger.cli", *argv],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+
+
+def test_eta_refuses_huge_declared_n_before_allocating(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10**8, "edges": []}))
+    done = _cli_in_child(["eta", str(path)])
+    assert done.returncode == 4
+    assert done.stderr == f"budget: host has {10**8} vertices, oracle cap is 12\n"
+
+
+def test_verify_rejects_vortex_graph_without_a_label_per_vertex(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    run(["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(cert)], capsys)
+    obj = json.loads(cert.read_text())
+    obj["structure"]["vortices"][0]["graph"].update(n=10**8, labels={})
+    cert.write_text(json.dumps(obj))
+    done = _cli_in_child(["verify", str(cert)])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "one label per vertex" in done.stderr
+
+
 # Nested deeper than decoding can recurse: the whole file, or a label in it.
 DEEP_TEXT = "[" * 10**5
 DEEP_LABEL = "[" * 900 + "]" * 900
@@ -393,11 +431,9 @@ STARTUP = {
 def test_startup_loads_sympy_only_for_guarantees(tmp_path, capsys, case):
     argv = _argv(case, tmp_path, capsys)
     result = tmp_path / "result.json"
-    src = os.path.dirname(os.path.dirname(hadwiger.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run(
         [sys.executable, "-c", FRESH, str(result), json.dumps(argv)],
-        env=env, check=True, capture_output=True, timeout=120,
+        env=_child_env(), check=True, capture_output=True, timeout=120,
     )
     assert tuple(json.loads(result.read_text())) == STARTUP[case]
 

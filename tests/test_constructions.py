@@ -258,9 +258,20 @@ def test_verify_traces_and_flattens_once(tmp_path, capsys, monkeypatch):
 
 def test_construct_traces_each_embedding_at_most_once(monkeypatch):
     traced = _record_calls(monkeypatch, embeddings, "trace_faces")
+    multiplied = []
+    real = embeddings.multiply_edges
+
+    def recorded(emb, k):
+        multiplied.append(real(emb, k))
+        return multiplied[-1]
+
+    monkeypatch.setattr(embeddings, "multiply_edges", recorded)
     constructions.with_apex(0, 4, 2, 0)
-    # the list keeps every traced embedding alive, so no id is reused
-    assert traced and len({id(emb) for emb in traced}) == len(traced)
+    # the lists keep every embedding alive, so no id is reused
+    traced_ids = {id(emb) for emb in traced}
+    assert traced and len(traced_ids) == len(traced)
+    # splitting checks its walks one face at a time
+    assert multiplied and not traced_ids & {id(emb) for emb in multiplied}
 
 
 @pytest.mark.parametrize("point", [(0, 4, 2, 0), (0, 4, 2, 1), (1, 1, 2, 0)])

@@ -3,6 +3,7 @@ import pytest
 from hadwiger import embeddings, graphs
 from hadwiger.embeddings import (
     CATALOG_MEMBERS,
+    FacialWalk,
     embedding_from_neighbors,
     euler_genus,
     face_through,
@@ -13,7 +14,13 @@ from hadwiger.embeddings import (
     trace_faces,
     triangulation_catalog,
 )
-from hadwiger.errors import Disconnected, FacesNotDisjoint, MalformedRotation, NotInCatalog
+from hadwiger.errors import (
+    Disconnected,
+    FacesNotDisjoint,
+    MalformedRotation,
+    NotACycle,
+    NotInCatalog,
+)
 
 
 def k4_embedding():
@@ -150,6 +157,22 @@ def test_split_at_disjoint_faces_only():
     walks = trace_faces(emb)
     with pytest.raises(FacesNotDisjoint):
         split_at_faces(emb, [walks[0], walks[1]])
+
+
+def test_split_at_faces_rejects_walks_that_are_not_faces():
+    emb = multiply_edges(k4_embedding(), 2)
+    face = next(w for w in trace_faces(emb) if len(w) == 3)
+    e = face.states[0][0]
+    not_faces = [
+        FacialWalk((), ()),
+        FacialWalk(((10**6, 0, 1),), ((0, 10**6),)),
+        FacialWalk(((e, 0, 5),), face.incidences[:1]),
+        # the right face, started at another dart-side
+        FacialWalk(face.states[1:] + face.states[:1], face.incidences[1:] + face.incidences[:1]),
+    ]
+    for walk in not_faces:
+        with pytest.raises(NotACycle):
+            split_at_faces(emb, [walk])
 
 
 def test_underlying_simple_collapses_copies():

@@ -243,6 +243,19 @@ def test_hadwiger_witness_bytes_are_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# SHA-256 over the witness JSON of every graph of sparse_to_dense_graphs(),
+# in order, recorded before contractions were pruned in the parent state
+SPARSE_TO_DENSE_WITNESSES = "564e2a555de43809354d0861eee7dc3c53c29c27df7387cb60d5435e705c1fde"
+
+
+def test_hadwiger_witness_bytes_are_pinned_on_sparse_to_dense_graphs():
+    digest = hashlib.sha256()
+    for g in sparse_to_dense_graphs():
+        model = minors.hadwiger_model(g)[1]
+        digest.update(serialize.dumps(serialize.model_to_json(model)).encode())
+    assert digest.hexdigest() == SPARSE_TO_DENSE_WITNESSES
+
+
 def test_hadwiger_model_is_invariant_under_relabelling():
     rng = random.Random(0)
     g = gnp(12, 0.8, rng)
@@ -363,3 +376,14 @@ def test_treewidth_budget():
 def test_max_clique():
     g = graphs.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
     assert minors.max_clique(g) == [0, 1, 2]
+
+
+def test_max_clique_floor_keeps_the_clique_that_beats_it():
+    rng = random.Random(3)
+    for _ in range(200):
+        g = gnp(rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)), rng)
+        adj = adj_masks(g)
+        clique = minors._max_clique_masks(adj)
+        for floor in range(len(clique) + 2):
+            expected = clique if len(clique) > floor else []
+            assert minors._max_clique_masks(adj, floor) == expected
