@@ -162,8 +162,8 @@ def vortex_from_json(obj: dict):
     from .vortex import Vortex
 
     # the labels tie the declared n to the file's size before n vertices
-    # are allocated
-    labels = obj["graph"].get("labels")
+    # are allocated; indexing rejects a graph that is not an object
+    labels = obj["graph"]["labels"]
     _require(
         isinstance(labels, dict) and len(labels) == graph_order(obj["graph"]),
         "vortex graph does not carry one label per vertex",

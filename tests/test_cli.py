@@ -224,6 +224,8 @@ BAD_SHAPES = {
     "rotation-dart-unknown-edge": (["structure", "base", "rotations", "4", 0], [10**6, 0]),
     "signature-not-a-sign": (["structure", "base", "signatures"], {"0": 5}),
     "pattern-n-huge": (["model", "pattern_n"], 10**6),
+    "vortex-graph-list": (["structure", "vortices", 0, "graph"], [1]),
+    "vortex-graph-null": (["structure", "vortices", 0, "graph"], None),
 }
 
 

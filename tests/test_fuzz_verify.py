@@ -21,6 +21,7 @@ ANY = object()
 VORTEX = ("structure", "vortices", 0)
 BASE = ("structure", "base")
 FIELDS = [
+    (*VORTEX, "graph"),
     (*VORTEX, "graph", "n"),
     (*VORTEX, "graph", "edges"),
     (*VORTEX, "graph", "edges", ANY),
