@@ -34,8 +34,11 @@ class EmbEdge:
 class MultiEmbedding:
     """Loops are forbidden; parallel edges (distinct edge ids) are fine.
 
-    Treat instances and their maps as immutable, since `faces` is traced
-    once and cached; all operations return new embeddings.
+    Faces are traced on integer side codes: the dart-side (e, end, side) is
+    4*rank[e] + 2*end + (side == 1), rank[e] being e's position among the
+    sorted edge ids, and `sides` tabulates the successor of every code.
+    Treat instances and their maps as immutable, since `sides` and `faces`
+    are built once and cached; all operations return new embeddings.
     """
 
     vertex_labels: dict[int, Hashable]
@@ -83,15 +86,23 @@ class MultiEmbedding:
         return trace_faces(self)
 
     @cached_property
-    def corners(self) -> dict[Dart, tuple[Dart, Dart]]:
-        """Each dart's successor and predecessor in the rotation at its
-        vertex, tabulated once per embedding for face tracing."""
-        table = {}
+    def sides(self) -> tuple[list[int], dict[int, int], list[int]]:
+        """The face-tracing table `(ids, rank, nxt)`, built once: the sorted
+        edge ids, each id's position among them, and for every dart-side
+        code the code of the next side along its boundary circle."""
+        ids = sorted(self.edges)
+        rank = {e: r for r, e in enumerate(ids)}
+        twisted = [self.edges[e].sign != 1 for e in ids]
+        nxt = [0] * (4 * len(ids))
         for rot in self.rotation.values():
-            d = len(rot)
-            for i, dart in enumerate(rot):
-                table[dart] = (rot[(i + 1) % d], rot[i - 1])
-        return table
+            codes = [4 * rank[e] + 2 * end for e, end in rot]
+            for c, after, before in zip(codes, codes[1:] + codes[:1], codes[-1:] + codes[:-1]):
+                # the side crossing into this dart on its right turns to the
+                # next dart in the rotation, the other side to the previous one
+                arrive = c ^ 2 | twisted[c >> 2]
+                nxt[arrive] = after
+                nxt[arrive ^ 1] = before + 1
+        return ids, rank, nxt
 
     def degree(self, v: int) -> int:
         return len(self.rotation[v])
@@ -134,53 +145,42 @@ class FacialWalk:
 # Face tracing works on dart-sides (edge, end, side), side in {+1, -1} for the
 # right/left side of the dart on its vertex disc.  Thickening the embedded
 # graph into a band surface, each face is a boundary circle alternating band
-# arcs and corner arcs; the successor below advances one band arc (switching
-# sides on untwisted bands only) plus one corner arc.  Every face circle is
-# covered by exactly two such orbits, offset by a single arc.
+# arcs and corner arcs; one step crosses a band arc (switching sides on
+# untwisted bands only), then a corner arc to the neighbouring dart in the
+# rotation.  Every face circle is covered by exactly two such orbits, offset
+# by one band arc.  `MultiEmbedding.sides` codes (e, end, side) as 4*rank[e] +
+# 2*end + (side == 1), so codes sort as the triples do, and tabulates each
+# step; the partner orbit of c starts at 2*((c >> 1) ^ 1) + ((c & 1) ^ untwisted).
 
 
-def _face_successor(emb: MultiEmbedding, state):
-    e, end, side = state
-    arrival = -side if emb.edges[e].sign == 1 else side
-    after, before = emb.corners[(e, 1 - end)]
-    if arrival == 1:
-        return (*after, -1)
-    return (*before, 1)
-
-
-def _arc_shift(emb: MultiEmbedding, state):
-    """The state one band arc further along the same boundary circle; its
-    orbit is the partner orbit covering the other half of the circle."""
-    e, end, side = state
-    arrival = -side if emb.edges[e].sign == 1 else side
-    return (e, 1 - end, arrival)
-
-
-def _orbit(emb: MultiEmbedding, start):
-    orbit = [start]
-    cur = _face_successor(emb, start)
-    while cur != start:
-        orbit.append(cur)
-        cur = _face_successor(emb, cur)
-    return orbit
-
-
-def _walk_from_states(emb: MultiEmbedding, states) -> FacialWalk:
-    incidences = tuple((emb.edges[e].ends[end], e) for e, end, _ in states)
-    return FacialWalk(tuple(states), incidences)
+def _circle(emb: MultiEmbedding, code: int) -> tuple[FacialWalk, list[int]]:
+    """The face whose boundary circle carries the side `code`, and every
+    code on that circle.  The walk is whichever of the circle's two orbits
+    holds the smallest code, started at that code."""
+    ids, _, nxt = emb.sides
+    partner = 2 * ((code >> 1) ^ 1) + ((code & 1) ^ (emb.edges[ids[code >> 2]].sign == 1))
+    orbits = []
+    for start in (code, partner):
+        orbit = [start]
+        c = nxt[start]
+        while c != start:
+            orbit.append(c)
+            c = nxt[c]
+        orbits.append(orbit)
+    one, two = orbits
+    if len(one) != len(two) or not set(one).isdisjoint(two):
+        raise MalformedRotation("inconsistent facial orbits")
+    chosen = min(orbits, key=min)
+    j = chosen.index(min(chosen))
+    states = tuple([(ids[c >> 2], c >> 1 & 1, 2 * (c & 1) - 1) for c in chosen[j:] + chosen[:j]])
+    incidences = tuple([(emb.edges[e].ends[end], e) for e, end, _ in states])
+    return FacialWalk(states, incidences), one + two
 
 
 def face_through(emb: MultiEmbedding, state) -> FacialWalk:
-    """The face whose boundary circle carries the dart-side `state`: the
-    walk of whichever of the circle's two orbits holds the smallest state,
-    started at that state."""
-    orbit = _orbit(emb, state)
-    partner = _orbit(emb, _arc_shift(emb, state))
-    if set(orbit) & set(partner) or len(orbit) != len(partner):
-        raise MalformedRotation("inconsistent facial orbits")
-    chosen = orbit if min(orbit) <= min(partner) else partner
-    j = chosen.index(min(chosen))
-    return _walk_from_states(emb, chosen[j:] + chosen[:j])
+    """The face whose boundary circle carries the dart-side `state`."""
+    e, end, side = state
+    return _circle(emb, 4 * emb.sides[1][e] + 2 * end + (side == 1))[0]
 
 
 def trace_faces(emb: MultiEmbedding) -> tuple[FacialWalk, ...]:
@@ -190,18 +190,14 @@ def trace_faces(emb: MultiEmbedding) -> tuple[FacialWalk, ...]:
     walks (an edge may appear twice in one walk).  `emb` must be valid, as
     every builder of embeddings leaves it.
     """
-    all_states = sorted(
-        (e, end, side) for e in emb.edges for end in (0, 1) for side in (1, -1)
-    )
-    visited: set[tuple[int, int, int]] = set()
+    seen = bytearray(4 * emb.m)
     walks: list[FacialWalk] = []
-    for start in all_states:
-        if start in visited:
+    for code in range(4 * emb.m):
+        if seen[code]:
             continue
-        walk = face_through(emb, start)
-        # the arc shift maps one orbit of a circle onto the other
-        visited.update(walk.states)
-        visited.update(_arc_shift(emb, s) for s in walk.states)
+        walk, circle = _circle(emb, code)
+        for c in circle:
+            seen[c] = 1
         walks.append(walk)
     if sum(len(w) for w in walks) != 2 * emb.m:
         raise MalformedRotation("face tracing does not cover each edge twice")
@@ -226,18 +222,18 @@ def owner_label(label):
 
 
 def _cycles_equal(a: Sequence, b: Sequence) -> bool:
-    """Cyclic sequences equal up to rotation and reflection."""
+    """Cyclic sequences equal up to rotation and reflection.  Only the
+    offsets where a turn of `a` starts with `b[0]` are compared."""
     a, b = list(a), list(b)
     if len(a) != len(b):
         return False
     if len(a) == 0:
         return True
-    doubled = a + a
-    rev = list(reversed(a))
-    doubled_rev = rev + rev
-    for i in range(len(a)):
-        if doubled[i : i + len(a)] == b or doubled_rev[i : i + len(a)] == b:
-            return True
+    for turn in (a, a[::-1]):
+        doubled = turn + turn
+        for i, x in enumerate(turn):
+            if x == b[0] and doubled[i : i + len(a)] == b:
+                return True
     return False
 
 

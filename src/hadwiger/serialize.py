@@ -38,10 +38,13 @@ def _require(ok: bool, message: str):
 # ---------------------------------------------------------------- labels
 
 def label_to_json(label):
+    # int members, the bulk of every label, are copied without a call
+    if type(label) is int:
+        return label
     if isinstance(label, Split):
         return {"split": [label_to_json(label.owner), label.position]}
     if isinstance(label, tuple):
-        return [label_to_json(x) for x in label]
+        return [x if type(x) is int else label_to_json(x) for x in label]
     if isinstance(label, str):
         return {"str": label}
     if isinstance(label, (int, bool)):
@@ -51,12 +54,13 @@ def label_to_json(label):
 
 def label_from_json(obj):
     if isinstance(obj, list):
-        return tuple(label_from_json(x) for x in obj)
+        return tuple([x if type(x) is int else label_from_json(x) for x in obj])
     if isinstance(obj, dict):
         if "split" in obj:
             owner, pos = obj["split"]
             return Split(label_from_json(owner), pos)
         if "str" in obj:
+            _require(isinstance(obj["str"], str), "str label is not a string")
             return obj["str"]
         raise ValueError(f"unknown label encoding {obj}")
     return obj

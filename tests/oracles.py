@@ -6,7 +6,9 @@ set into connected parts and taking the largest clique in the quotient, an
 edge-count certificate bounds it from above, the treewidth is the least
 width over every elimination ordering, and tree decompositions are checked
 axiom by axiom.  `as_sympy` rebuilds a bound as a sympy expression, the
-independent reference for exact bound values.
+independent reference for exact bound values.  `reference_faces` traces the
+faces of a rotation system on dart-side tuples, reading only the rotations,
+edges and signatures, as the cross-check of the package's face tracer.
 """
 from itertools import combinations, permutations
 
@@ -215,3 +217,53 @@ def bramble_order(g: SimpleGraph, sets) -> int:
             if all(mask & h for mask in masks):
                 return r
     raise AssertionError("unhittable bramble")
+
+
+def reference_faces(emb):
+    """The facial walks of a rotation system as (states, incidences) pairs,
+    in the order `embeddings.trace_faces` promises.
+
+    Faces are traced on dart-sides (edge, end, side), side +1/-1 for the
+    right/left of the dart, with the signed side-switching rule (Mohar &
+    Thomassen, Graphs on Surfaces, section 3.3): cross the edge, switching
+    sides only on a positive edge, then turn to the neighbouring dart in the
+    rotation at the far vertex.  Each face circle is covered by two orbits
+    one band arc apart; the walk is the orbit holding the smaller state,
+    started there.
+    """
+    after, before = {}, {}
+    for rot in emb.rotation.values():
+        for i, dart in enumerate(rot):
+            after[dart] = rot[(i + 1) % len(rot)]
+            before[dart] = rot[i - 1]
+
+    def arrival(e, side):
+        return -side if emb.edges[e].sign == 1 else side
+
+    def successor(state):
+        e, end, side = state
+        if arrival(e, side) == 1:
+            return (*after[(e, 1 - end)], -1)
+        return (*before[(e, 1 - end)], 1)
+
+    def orbit(start):
+        states = [start]
+        while (nxt := successor(states[-1])) != start:
+            states.append(nxt)
+        return states
+
+    walks, seen = [], set()
+    for start in sorted((e, end, side) for e in emb.edges for end in (0, 1) for side in (1, -1)):
+        if start in seen:
+            continue
+        e, end, side = start
+        one, two = orbit(start), orbit((e, 1 - end, arrival(e, side)))
+        if set(one) & set(two) or len(one) != len(two):
+            raise ValueError("inconsistent facial orbits")
+        seen.update(one, two)
+        chosen = one if min(one) < min(two) else two
+        j = chosen.index(min(chosen))
+        states = tuple(chosen[j:] + chosen[:j])
+        walks.append((states, tuple((emb.edges[e].ends[end], e) for e, end, _ in states)))
+    walks.sort(key=lambda w: w[1])
+    return walks

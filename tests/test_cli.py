@@ -226,6 +226,8 @@ BAD_SHAPES = {
     "pattern-n-huge": (["model", "pattern_n"], 10**6),
     "vortex-graph-list": (["structure", "vortices", 0, "graph"], [1]),
     "vortex-graph-null": (["structure", "vortices", 0, "graph"], None),
+    # accepted once, though `certificate_to_json` cannot write the label back
+    "edge-label-str-not-a-string": (["structure", "base", "edge_labels", "0"], {"str": []}),
 }
 
 

@@ -1,9 +1,17 @@
-import pytest
+import hashlib
+import random
+import time
 
-from hadwiger import embeddings, graphs
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hadwiger import constructions, embeddings, graphs
 from hadwiger.embeddings import (
     CATALOG_MEMBERS,
+    EmbEdge,
     FacialWalk,
+    MultiEmbedding,
     embedding_from_neighbors,
     euler_genus,
     face_through,
@@ -21,6 +29,7 @@ from hadwiger.errors import (
     NotACycle,
     NotInCatalog,
 )
+from oracles import reference_faces
 
 
 def k4_embedding():
@@ -192,3 +201,98 @@ def test_face_through_returns_the_face_of_every_state():
                 arrival = -side if emb.edges[e].sign == 1 else side
                 assert face_through(emb, (e, end, side)) == walk
                 assert face_through(emb, (e, 1 - end, arrival)) == walk
+
+
+# the round-trip points of the benchmark at seed 1: four many-vortex and
+# four one-vortex certificates, (g, p, k, a)
+ROUND_TRIP_POINTS = [
+    (5, 7, 5, 0), (3, 4, 3, 0), (0, 1, 3, 1), (3, 15, 2, 0),
+    (1, 1, 6, 1), (4, 2, 4, 0), (5, 3, 4, 1), (1, 1, 4, 0),
+]
+# SHA-256 over the traced states and incidences of the catalog entries, the
+# 4x4 grid and the bases of ROUND_TRIP_POINTS, recorded with the tuple-based
+# tracer that preceded the side table
+TRACED_FACES = "8bff57df36326f3f11ff1c9f1e600324fb63764522b6956e79f1cc222e19186f"
+
+
+def test_traced_faces_are_pinned():
+    embs = [triangulation_catalog(m) for m in CATALOG_MEMBERS] + [grid_embedding(4)]
+    embs += [constructions.with_apex(*point).structure.base for point in ROUND_TRIP_POINTS]
+    digest = hashlib.sha256()
+    for emb in embs:
+        for walk in trace_faces(emb):
+            digest.update(repr((walk.states, walk.incidences)).encode())
+    assert digest.hexdigest() == TRACED_FACES
+
+
+@st.composite
+def rotation_systems(draw):
+    """A random connected rotation system: a spanning tree plus extra edges
+    (parallel ones allowed), sparse and negative edge ids, random
+    signatures and random cyclic orders."""
+    n = draw(st.integers(1, 8))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if n > 1:
+        extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+        pairs += draw(st.lists(extra, max_size=8))
+    ids = draw(st.lists(st.integers(-40, 40), min_size=len(pairs), max_size=len(pairs), unique=True))
+    edges = {e: EmbEdge(e, pair, draw(st.sampled_from([1, -1]))) for e, pair in zip(ids, pairs)}
+    darts = {v: [] for v in range(n)}
+    for e, edge in edges.items():
+        for end in (0, 1):
+            darts[edge.ends[end]].append((e, end))
+    rotation = {v: tuple(draw(st.permutations(ds))) for v, ds in darts.items()}
+    emb = MultiEmbedding({v: v for v in range(n)}, edges, rotation)
+    emb.validate()
+    return emb
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rotation_systems())
+def test_trace_faces_matches_the_reference_tracer(emb):
+    walks = trace_faces(emb)
+    assert [(w.states, w.incidences) for w in walks] == reference_faces(emb)
+    # every dart-side lies on exactly one face circle: on the walk's own
+    # orbit or, one band arc further, on its partner
+    holder = {}
+    for walk in walks:
+        for e, end, side in walk.states:
+            arrival = -side if emb.edges[e].sign == 1 else side
+            holder[(e, end, side)] = holder[(e, 1 - end, arrival)] = walk
+    states = [(e, end, side) for e in emb.edges for end in (0, 1) for side in (1, -1)]
+    assert len(holder) == len(states)
+    for state in states:
+        assert face_through(emb, state) == holder[state]
+
+
+def _cycles_equal_by_brute_force(a, b):
+    a, b = list(a), list(b)
+    turns = [a[i:] + a[:i] for i in range(len(a))] or [[]]
+    return b in turns or b in [t[::-1] for t in turns]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.lists(st.integers(0, 2), max_size=7),
+    shift=st.integers(0, 6),
+    flip=st.booleans(),
+    edit=st.none() | st.tuples(st.integers(0, 6), st.integers(0, 2)),
+    extra=st.lists(st.integers(0, 2), max_size=1),
+)
+def test_cycles_equal_matches_brute_force(a, shift, flip, edit, extra):
+    b = a[shift % len(a):] + a[:shift % len(a)] if a else []
+    b = (b[::-1] if flip else b) + extra
+    if edit and b:
+        b[edit[0] % len(b)] = edit[1]
+    assert embeddings._cycles_equal(a, b) == _cycles_equal_by_brute_force(a, b)
+
+
+def test_cycles_equal_is_linear_on_a_long_cycle():
+    rng = random.Random(0)
+    a = rng.sample(range(10**6), 5000)
+    turned = (a[1234:] + a[:1234])[::-1]
+    broken = turned[:-1] + [-1]
+    start = time.perf_counter()
+    assert embeddings._cycles_equal(a, turned)
+    assert not embeddings._cycles_equal(a, broken)
+    assert time.perf_counter() - start < 0.05

@@ -1,5 +1,8 @@
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hadwiger import constructions, embeddings, graphs, minors, serialize, vortex
 from hadwiger.graphs import Split
 
@@ -8,6 +11,47 @@ def test_label_round_trip():
     labels = [3, "apex", (1, 2), ((1, 1), 2), Split((1, 1), 3), Split(0, 1)]
     for lab in labels:
         assert serialize.label_from_json(serialize.label_to_json(lab)) == lab
+
+
+def recursive_label_to_json(label):
+    """The label encoder as it stood before ints were copied in place: one
+    call per member, at every depth."""
+    if isinstance(label, Split):
+        return {"split": [recursive_label_to_json(label.owner), label.position]}
+    if isinstance(label, tuple):
+        return [recursive_label_to_json(x) for x in label]
+    if isinstance(label, str):
+        return {"str": label}
+    if isinstance(label, (int, bool)):
+        return label
+    raise TypeError(f"unsupported label type {type(label)}")
+
+
+def typed(label):
+    """A label with the type of every member spelt out, so that a bool and
+    an int that compare equal do not."""
+    if isinstance(label, Split):
+        return ("Split", typed(label.owner), typed(label.position))
+    if isinstance(label, tuple):
+        return ("tuple", tuple(typed(x) for x in label))
+    return (type(label).__name__, label)
+
+
+LABELS = st.recursive(
+    st.integers(-(2**70), 2**70) | st.integers(-3, 3) | st.booleans() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3).map(tuple) | st.builds(Split, inner, st.integers(0, 9)),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(LABELS)
+def test_label_codec_round_trips_with_types_at_every_depth(label):
+    obj = serialize.label_to_json(label)
+    assert json.dumps(obj) == json.dumps(recursive_label_to_json(label))
+    back = serialize.label_from_json(json.loads(json.dumps(obj)))
+    assert back == label
+    assert typed(back) == typed(label)
 
 
 def test_graph_round_trip():
