@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from . import graphs
 from .errors import Disconnected, FacesNotDisjoint, MalformedRotation, NotACycle, NotInCatalog
@@ -22,8 +22,7 @@ from .graphs import SimpleGraph, Split
 Dart = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class EmbEdge:
+class EmbEdge(NamedTuple):
     id: int
     ends: tuple[int, int]
     sign: int = 1

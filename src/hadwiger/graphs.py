@@ -10,19 +10,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import Hashable, Iterable, Sequence
 
 from .errors import NotAClique, SizeMismatch
 
 
-@dataclass(frozen=True)
-class Split:
-    """Label for a vertex created by splitting `owner` at a face; `position`
-    is the 1-based index along the replacement path.  Deliberately not a
-    tuple so it can never collide with ordinary tuple labels."""
+# The first member of every Split: it hashes the same in every process, as a
+# str under PYTHONHASHSEED or an object() by address would not, and no JSON
+# value decodes to it.
+_SPLIT_TAG = 1j
 
-    owner: Hashable
-    position: int
+
+class Split(tuple):
+    """Label for a vertex created by splitting `owner` at a face; `position`
+    is the 1-based index along the replacement path.
+
+    A tuple `(_SPLIT_TAG, owner, position)`, so hashing, equality and
+    construction run in C; the tag keeps it unequal to every ordinary
+    label, since no label decoded from JSON holds a complex number."""
+
+    __slots__ = ()
+
+    def __new__(cls, owner: Hashable, position: int):
+        return tuple.__new__(cls, (_SPLIT_TAG, owner, position))
+
+    owner = property(itemgetter(1))
+    position = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__(owner, position)
+        return self[1:]
+
+    def __repr__(self):
+        return f"Split(owner={self[1]!r}, position={self[2]!r})"
 
 
 def label_sort_key(label):

@@ -58,11 +58,14 @@ def label_from_json(obj):
     if isinstance(obj, dict):
         if "split" in obj:
             owner, pos = obj["split"]
+            _require(_is_int(pos), "split position is not an integer")
             return Split(label_from_json(owner), pos)
         if "str" in obj:
             _require(isinstance(obj["str"], str), "str label is not a string")
             return obj["str"]
         raise ValueError(f"unknown label encoding {obj}")
+    # a float or null could not be written back, nor ordered by label_sort_key
+    _require(isinstance(obj, (int, str)), f"unsupported label {obj!r}")
     return obj
 
 

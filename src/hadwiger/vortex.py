@@ -60,11 +60,11 @@ def validate_circular(v: Vortex) -> Report:
             if u is not None:
                 positions[u].append(i)
 
-    # witnesses in the iteration order of the label set
-    uncovered = {graph.labels[u] for u, p in enumerate(positions) if not p}
+    # witnesses in vertex order, which no hash seed can change
+    on_perimeter = set(perim)
     bad2 = [
-        lab for lab in set(graph.labels) if lab in uncovered and lab not in perim
-    ] if uncovered else []
+        lab for lab, p in zip(graph.labels, positions) if not p and lab not in on_perimeter
+    ]
     rep.add("property-2-covers-vertices", not bad2, bad2 or None)
 
     held = [set(p) for p in positions]

@@ -4,12 +4,13 @@ stated runtime budget for the whole file is five minutes.
 """
 import dataclasses
 import functools
+import hashlib
 import itertools
 import random
 
 import sympy
 
-from hadwiger import bounds, constructions, embeddings, graphs, minors, vortex
+from hadwiger import bounds, constructions, embeddings, graphs, minors, serialize, vortex
 from hadwiger.cli import main as cli_main
 from oracles import as_sympy, naive_eta, no_kt_minor_by_edge_count
 
@@ -71,6 +72,19 @@ def test_criterion_03_construction_certificates():
         guarantee = a + sympy.Rational(1, 4) * k * sympy.sqrt(p + g)
         assert as_sympy(cert.guarantee) == guarantee
         assert bool(sympy.Rational(cert.target) >= guarantee), (g, p, k, a)
+
+
+# SHA-256 over the certificate bytes of every GRID point in order, recorded
+# before labels and edge copies became tuple-backed records
+GRID_CERTIFICATES = "f61f5c1df80382ca62af5498764c76ab8f9db72d269ed492844783c9931f0288"
+
+
+def test_grid_certificates_are_pinned():
+    digest = hashlib.sha256()
+    for pt in GRID:
+        text = serialize.dumps(serialize.certificate_to_json(grid_certificate(*pt)))
+        digest.update(text.encode())
+    assert digest.hexdigest() == GRID_CERTIFICATES
 
 
 def test_criterion_04_sandwich():

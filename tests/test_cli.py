@@ -228,6 +228,10 @@ BAD_SHAPES = {
     "vortex-graph-null": (["structure", "vortices", 0, "graph"], None),
     # accepted once, though `certificate_to_json` cannot write the label back
     "edge-label-str-not-a-string": (["structure", "base", "edge_labels", "0"], {"str": []}),
+    "edge-label-float": (["structure", "base", "edge_labels", "0"], 1.5),
+    "edge-label-null": (["structure", "base", "edge_labels", "0"], None),
+    "split-position-float": (["structure", "base", "edge_labels", "0"], {"split": [0, 2.5]}),
+    "split-position-bool": (["structure", "base", "edge_labels", "0"], {"split": [0, True]}),
 }
 
 
@@ -260,10 +264,57 @@ def test_verify_bad_shape_exits_2(tmp_path, capsys, case):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_verify_unorderable_hub_labels_exit_2(tmp_path, capsys):
+    # two hubs of a (1,1,2,0) vortex, each held by a run of bags, renamed to
+    # null and 999 and dropped from their middle bags: both break property 4,
+    # whose witnesses are sorted by label
+    cert = tmp_path / "cert.json"
+    run(["construct", "--g", "1", "--p", "1", "--k", "2", "--out", str(cert)], capsys)
+    obj = json.loads(cert.read_text())
+    v = obj["structure"]["vortices"][0]
+    for hub, name in (([1, 1], None), ([2, 1], 999)):
+        held = sorted(int(pos) for pos, bag in v["bags"].items() if hub in bag)
+        assert len(held) >= 3
+        v["graph"]["labels"] = {i: name if lab == hub else lab for i, lab in v["graph"]["labels"].items()}
+        for pos, bag in v["bags"].items():
+            if int(pos) != held[len(held) // 2]:
+                v["bags"][pos] = [name if lab == hub else lab for lab in bag]
+            else:
+                v["bags"][pos] = [lab for lab in bag if lab != hub]
+    cert.write_text(json.dumps(obj))
+    code, out, err = run(["verify", str(cert)], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+
+
 def _child_env():
     """The environment for a child interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(hadwiger.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_verify_stdout_does_not_depend_on_the_hash_seed(tmp_path, capsys):
+    # five vortex vertices in no bag, so property 2 lists all five
+    cert = tmp_path / "cert.json"
+    run(["construct", "--g", "1", "--p", "2", "--k", "3", "--a", "1", "--out", str(cert)], capsys)
+    obj = json.loads(cert.read_text())
+    graph = obj["structure"]["vortices"][0]["graph"]
+    names = ["alpha", "beta", "gamma", "delta", "eps"]
+    for name in names:
+        graph["labels"][str(graph["n"])] = {"str": name}
+        graph["n"] += 1
+    cert.write_text(json.dumps(obj))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "hadwiger.cli", "verify", str(cert)],
+            env=dict(_child_env(), PYTHONHASHSEED=seed), capture_output=True, text=True, timeout=60,
+        )
+        for seed in ("1", "2")
+    ]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].returncode == 1
+    checks = {c["name"]: c for c in json.loads(runs[0].stdout)["checks"]}
+    assert checks["structure-vortex-0-property-2-covers-vertices"]["witness"] == repr(names)
 
 
 def _cli_in_child(argv):

@@ -225,6 +225,13 @@ def test_traced_faces_are_pinned():
     assert digest.hexdigest() == TRACED_FACES
 
 
+def test_emb_edge_defaults_and_keywords():
+    edge = EmbEdge(3, (0, 1))
+    assert (edge.id, edge.ends, edge.sign, edge.label) == (3, (0, 1), 1, None)
+    assert EmbEdge(id=3, ends=(0, 1), sign=-1, label=(1, 2)) == EmbEdge(3, (0, 1), -1, (1, 2))
+    assert repr(edge) == "EmbEdge(id=3, ends=(0, 1), sign=1, label=None)"
+
+
 @st.composite
 def rotation_systems(draw):
     """A random connected rotation system: a spanning tree plus extra edges

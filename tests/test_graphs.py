@@ -1,3 +1,9 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -50,7 +56,46 @@ def test_lex_product_labels():
 def test_split_label_is_not_a_tuple():
     # hub labels like (0, 1) must never collide with Split(0, 1)
     assert Split(0, 1) != (0, 1)
+    assert Split((1, 2), 3) != ((1, 2), 3)
     assert len({Split(0, 1), (0, 1)}) == 2
+    assert (Split((1, 2), 3).owner, Split((1, 2), 3).position) == ((1, 2), 3)
+
+
+def test_split_repr_is_pinned():
+    # `verify` stdout embeds these reprs
+    assert repr(Split((1, 2), 3)) == "Split(owner=(1, 2), position=3)"
+    assert repr(Split(Split("a", 1), 2)) == "Split(owner=Split(owner='a', position=1), position=2)"
+
+
+def test_split_hash_is_the_same_under_every_hash_seed():
+    src = os.path.dirname(os.path.dirname(graphs.__file__))
+    code = "from hadwiger.graphs import Split; print(hash(Split((1, 2), 3)))"
+    hashes = {
+        subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert len(hashes) == 1
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_split_survives_copy_and_pickle(how, monkeypatch):
+    label = Split(((1, 1), "x"), 3)
+    again = COPIES[how](label)
+    assert again == label and type(again) is Split
+    # the tuple's own __getnewargs__ passes one argument to __new__
+    monkeypatch.delattr(Split, "__getnewargs__")
+    with pytest.raises(TypeError):
+        COPIES[how](label)
 
 
 def test_clique_sum_identifies_and_drops():

@@ -54,6 +54,29 @@ def test_label_codec_round_trips_with_types_at_every_depth(label):
     assert typed(back) == typed(label)
 
 
+JSON_LABELS = st.recursive(
+    st.integers(-3, 3) | st.booleans() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.builds(lambda x, p: {"split": [x, p]}, inner, st.integers(0, 9))
+    | st.builds(lambda x: {"str": x}, st.text(max_size=2)),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(JSON_LABELS, JSON_LABELS, st.integers(0, 9))
+def test_no_decoded_label_equals_a_split_unless_it_is_one(obj, owner, position):
+    label = serialize.label_from_json(obj)
+    splits = [Split(serialize.label_from_json(owner), position)]
+    if isinstance(label, tuple) and len(label) in (2, 3):
+        # the members of a plain tuple, put in a Split
+        splits.append(Split(*label[-2:]))
+    for split in splits:
+        same = isinstance(label, Split) and (label.owner, label.position) == (split.owner, split.position)
+        assert (label == split) is same
+        assert (split != label) is not same
+
+
 def test_graph_round_trip():
     g = graphs.lex_product(graphs.grid_graph(2), 2)
     back = serialize.graph_from_json(serialize.graph_to_json(g))
