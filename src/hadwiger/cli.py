@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import functools
 import json
-import os
 import sys
 
 from . import bounds, constructions, minors, serialize
@@ -29,11 +28,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CATALOG = 3
 EXIT_BUDGET = 4
-
-
-def default_cap() -> int:
-    cap = os.environ.get("HADWIGER_ETA_CAP")
-    return int(cap) if cap else 12
 
 
 def _write(path: str | None, text: str):
@@ -84,14 +78,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    cap = args.cap if args.cap is not None else default_cap()
     n, obj = _load(args.graph, lambda obj: (serialize.graph_order(obj), obj), "graph")
     # the declared n meets the cap before n vertices are allocated; outside
     # `_decoding`, so that a refusal exits 4, not 2
-    minors.check_budget(n, cap)
+    minors.check_budget(n, args.cap)
     with _decoding("graph"):
         g = serialize.graph_from_json(obj)
-    eta, model = minors.hadwiger_model(g, cap=cap)
+    eta, model = minors.hadwiger_model(g, cap=args.cap)
     print(eta)
     if args.witness:
         _write(args.witness, serialize.dumps(serialize.model_to_json(model)))
@@ -143,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eta", help="exact Hadwiger number of a graph file")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, help="oracle vertex cap (env HADWIGER_ETA_CAP)")
+    p.add_argument("--cap", type=int, default=minors.ORACLE_CAP, help="oracle vertex cap")
     p.add_argument("--witness", help="write the witness model here")
 
     p = sub.add_parser("bounds", help="print all bound values for (g,p,k,a)")

@@ -17,7 +17,6 @@ from . import bounds, embeddings, graphs, minors, vortex
 from .embeddings import MultiEmbedding
 from .errors import (
     FacesDontCoverVertices,
-    FacesNotDisjoint,
     GenusOutOfCatalog,
     GZero,
     KTooSmall,
@@ -79,10 +78,6 @@ def construct_vortex_graph(
     if k < 1:
         raise ValueError("k must be >= 1")
     face_vertex_sets = [set(w.vertices) for w in faces]
-    for a, b in combinations(range(len(faces)), 2):
-        shared = face_vertex_sets[a] & face_vertex_sets[b]
-        if shared:
-            raise FacesNotDisjoint(f"faces {a} and {b} share vertices {sorted(shared)}")
     covered = set().union(*face_vertex_sets) if faces else set()
     uncovered = set(emb.vertex_labels) - covered
     if uncovered:

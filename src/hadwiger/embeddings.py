@@ -32,6 +32,7 @@ class EmbEdge(NamedTuple):
 @dataclass(frozen=True)
 class MultiEmbedding:
     """Loops are forbidden; parallel edges (distinct edge ids) are fine.
+    Construction runs `validate`: every dart is listed once, at its vertex.
 
     Faces are traced on integer side codes: the dart-side (e, end, side) is
     4*rank[e] + 2*end + (side == 1), rank[e] being e's position among the
@@ -43,6 +44,9 @@ class MultiEmbedding:
     vertex_labels: dict[int, Hashable]
     edges: dict[int, EmbEdge]
     rotation: dict[int, tuple[Dart, ...]]
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         seen: set[Dart] = set()
@@ -166,14 +170,11 @@ def _circle(emb: MultiEmbedding, code: int) -> tuple[FacialWalk, list[int]]:
             orbit.append(c)
             c = nxt[c]
         orbits.append(orbit)
-    one, two = orbits
-    if len(one) != len(two) or not set(one).isdisjoint(two):
-        raise MalformedRotation("inconsistent facial orbits")
     chosen = min(orbits, key=min)
     j = chosen.index(min(chosen))
     states = tuple([(ids[c >> 2], c >> 1 & 1, 2 * (c & 1) - 1) for c in chosen[j:] + chosen[:j]])
     incidences = tuple([(emb.edges[e].ends[end], e) for e, end, _ in states])
-    return FacialWalk(states, incidences), one + two
+    return FacialWalk(states, incidences), orbits[0] + orbits[1]
 
 
 def face_through(emb: MultiEmbedding, state) -> FacialWalk:
@@ -186,8 +187,9 @@ def trace_faces(emb: MultiEmbedding) -> tuple[FacialWalk, ...]:
     """All facial walks, deterministically ordered.
 
     Each edge contributes exactly two incidence-sides across the returned
-    walks (an edge may appear twice in one walk).  `emb` must be valid, as
-    every builder of embeddings leaves it.
+    walks (an edge may appear twice in one walk).  No check is needed: a
+    valid embedding lists each dart once, so `nxt` is a permutation and each
+    circle is two disjoint orbits of equal length.
     """
     seen = bytearray(4 * emb.m)
     walks: list[FacialWalk] = []
@@ -198,8 +200,6 @@ def trace_faces(emb: MultiEmbedding) -> tuple[FacialWalk, ...]:
         for c in circle:
             seen[c] = 1
         walks.append(walk)
-    if sum(len(w) for w in walks) != 2 * emb.m:
-        raise MalformedRotation("face tracing does not cover each edge twice")
     walks.sort(key=lambda w: w.incidences)
     return tuple(walks)
 
@@ -293,17 +293,16 @@ def split_at_faces(
             r_out: Dart = (e_out, end_out)
             rot = rotation[v]
             d = len(rot)
-            j = None
-            for idx in range(d):
-                pair = {rot[idx], rot[(idx + 1) % d]}
-                if pair == {r_in, r_out}:
-                    j = idx
-                    break
-            if j is None:
+            i = rot.index(r_out)
+            if rot[i - 1] == r_in:
+                start = i
+            elif rot[(i + 1) % d] == r_in:
+                start = (i + 1) % d
+            else:
                 raise MalformedRotation(
                     f"face corner at vertex {v} not adjacent in rotation"
                 )
-            e_list = [rot[(j + 1 + s) % d] for s in range(d)]
+            e_list = rot[start:] + rot[:start]
 
             xs = list(range(next_vertex, next_vertex + d))
             next_vertex += d
@@ -335,9 +334,7 @@ def split_at_faces(
         e: EmbEdge(e, (ends[0], ends[1]), ends[2], ends[3]) for e, ends in edges.items()
     }
     new_rot = {v: tuple(rot) for v, rot in rotation.items()}
-    out = MultiEmbedding(labels, new_edges, new_rot)
-    out.validate()
-    return out
+    return MultiEmbedding(labels, new_edges, new_rot)
 
 
 def delete_vertex(emb: MultiEmbedding, v: int) -> MultiEmbedding:
@@ -354,7 +351,6 @@ def delete_vertex(emb: MultiEmbedding, v: int) -> MultiEmbedding:
     out = MultiEmbedding(labels, edges, rotation)
     if not graphs.is_connected(out.simple):
         raise Disconnected(f"deleting vertex {v} disconnects the embedding")
-    out.validate()
     return out
 
 
@@ -397,9 +393,7 @@ def multiply_edges(emb: MultiEmbedding, k: int) -> MultiEmbedding:
         for dart in rot:
             new_rot.extend(blocks[dart])
         rotation[v] = tuple(new_rot)
-    out = MultiEmbedding(dict(emb.vertex_labels), edges, rotation)
-    out.validate()
-    return out
+    return MultiEmbedding(dict(emb.vertex_labels), edges, rotation)
 
 
 def embedding_from_neighbors(
@@ -430,34 +424,16 @@ def embedding_from_neighbors(
         rotation[v] = tuple(darts)
     if labels is None:
         labels = tuple(range(n))
-    emb = MultiEmbedding({v: labels[v] for v in range(n)}, edges, rotation)
-    emb.validate()
-    return emb
+    return MultiEmbedding({v: labels[v] for v in range(n)}, edges, rotation)
 
 
 def grid_embedding(n: int) -> MultiEmbedding:
     """Planar embedding of the n-by-n grid, neighbors in counterclockwise
     order (east, north, west, south).  Labels carry (x, y)."""
     g = graphs.grid_graph(n)
-
-    def idx(x, y):
-        return (x - 1) * n + (y - 1)
-
-    rotations = []
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            rot = []
-            if x < n:
-                rot.append(idx(x + 1, y))
-            if y < n:
-                rot.append(idx(x, y + 1))
-            if x > 1:
-                rot.append(idx(x - 1, y))
-            if y > 1:
-                rot.append(idx(x, y - 1))
-            rotations.append(rot)
-    labels = [(x, y) for x in range(1, n + 1) for y in range(1, n + 1)]
-    return embedding_from_neighbors(n * n, rotations, labels=labels)
+    # vertex (x, y) is i = (x-1)*n + y-1: east, north, west, south are i+n, i+1, i-n, i-1
+    rotations = [[j for j in (i + n, i + 1, i - n, i - 1) if j in g.adj[i]] for i in range(g.n)]
+    return embedding_from_neighbors(g.n, rotations, labels=g.labels)
 
 
 # Complete-graph triangulation catalog.  K_m triangulates a surface only if

@@ -64,6 +64,7 @@ class SimpleGraph:
 
     `adj` must be symmetric and loop-free; `from_edges` and the builders
     below guarantee it, and `from_edges` rejects edges that break it.
+    Construction indexes the labels once, in `label_index`, and refuses repeats.
     """
 
     n: int
@@ -73,12 +74,12 @@ class SimpleGraph:
     def __post_init__(self):
         if len(self.adj) != self.n or len(self.labels) != self.n:
             raise ValueError("adjacency/label length mismatch")
-        if len(set(self.labels)) != self.n:
+        if len(self.label_index) != self.n:
             raise ValueError("labels not unique")
 
     @cached_property
     def label_index(self) -> dict:
-        return {lab: i for i, lab in enumerate(self.labels)}
+        return dict(zip(self.labels, range(self.n)))
 
     def index_of(self, label) -> int:
         return self.label_index[label]
@@ -256,7 +257,7 @@ def is_connected(g: SimpleGraph) -> bool:
 
 def union_by_labels(parts: Sequence[SimpleGraph]) -> SimpleGraph:
     """Union of several graphs glued on equal labels; multi-edges collapse.
-    Vertex order: first occurrence across `parts` in order."""
+    Vertex order: first occurrence across `parts`; the result indexes itself."""
     labels: list = []
     index: dict = {}
     adj: list[set[int]] = []
@@ -270,6 +271,4 @@ def union_by_labels(parts: Sequence[SimpleGraph]) -> SimpleGraph:
             ids.append(i)
         for u, nbrs in zip(ids, part.adj):
             adj[u].update([ids[v] for v in nbrs])
-    g = SimpleGraph(len(labels), tuple(map(frozenset, adj)), tuple(labels))
-    vars(g)["label_index"] = index
-    return g
+    return SimpleGraph(len(labels), tuple(map(frozenset, adj)), tuple(labels))

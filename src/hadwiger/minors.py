@@ -239,13 +239,17 @@ def min_degree_width(adj_masks: list[int]) -> int:
     return width
 
 
+# The default vertex cap of every exact oracle and of `hadwiger eta --cap`.
+ORACLE_CAP = 12
+
+
 def check_budget(n: int, cap: int):
     """Refuse a host of `n` vertices above the oracles' vertex cap."""
     if n > cap:
         raise BudgetExceeded(f"host has {n} vertices, oracle cap is {cap}")
 
 
-def hadwiger_model(g: SimpleGraph, cap: int = 12) -> tuple[int, MinorModel]:
+def hadwiger_model(g: SimpleGraph, cap: int = ORACLE_CAP) -> tuple[int, MinorModel]:
     """Exact largest complete minor with a verified witness model.
 
     Search over edge contractions: the answer is the maximum clique number
@@ -336,11 +340,11 @@ def hadwiger_model(g: SimpleGraph, cap: int = 12) -> tuple[int, MinorModel]:
     return best, model
 
 
-def hadwiger_oracle(g: SimpleGraph, cap: int = 12) -> int:
+def hadwiger_oracle(g: SimpleGraph, cap: int = ORACLE_CAP) -> int:
     return hadwiger_model(g, cap)[0]
 
 
-def treewidth_ordering(g: SimpleGraph, cap: int = 12) -> tuple[int, list[int]]:
+def treewidth_ordering(g: SimpleGraph, cap: int = ORACLE_CAP) -> tuple[int, list[int]]:
     """Exact treewidth and an elimination ordering of that width.
 
     Prefix DP of Bodlaender, Fomin, Koster, Kratsch and Thilikos ("On exact
@@ -385,6 +389,6 @@ def treewidth_ordering(g: SimpleGraph, cap: int = 12) -> tuple[int, list[int]]:
     return tw[full], order[::-1]
 
 
-def treewidth_oracle(g: SimpleGraph, cap: int = 12) -> int:
+def treewidth_oracle(g: SimpleGraph, cap: int = ORACLE_CAP) -> int:
     """Exact treewidth; see `treewidth_ordering` for the method."""
     return treewidth_ordering(g, cap)[0]

@@ -47,26 +47,27 @@ def label_to_json(label):
         return [x if type(x) is int else label_to_json(x) for x in label]
     if isinstance(label, str):
         return {"str": label}
-    if isinstance(label, (int, bool)):
-        return label
     raise TypeError(f"unsupported label type {type(label)}")
 
 
 def label_from_json(obj):
+    if type(obj) is int:
+        return obj
     if isinstance(obj, list):
         return tuple([x if type(x) is int else label_from_json(x) for x in obj])
     if isinstance(obj, dict):
-        if "split" in obj:
-            owner, pos = obj["split"]
-            _require(_is_int(pos), "split position is not an integer")
-            return Split(label_from_json(owner), pos)
-        if "str" in obj:
-            _require(isinstance(obj["str"], str), "str label is not a string")
-            return obj["str"]
+        if len(obj) == 1:
+            if "split" in obj:
+                owner, pos = obj["split"]
+                _require(_is_int(pos), "split position is not an integer")
+                return Split(label_from_json(owner), pos)
+            if "str" in obj:
+                _require(isinstance(obj["str"], str), "str label is not a string")
+                return obj["str"]
         raise ValueError(f"unknown label encoding {obj}")
-    # a float or null could not be written back, nor ordered by label_sort_key
-    _require(isinstance(obj, (int, str)), f"unsupported label {obj!r}")
-    return obj
+    # one encoding per label: a float or null could not be written back, a
+    # bool would alias an int, and a bare string its {"str": ...} form
+    raise ValueError(f"unsupported label {obj!r}")
 
 
 # ---------------------------------------------------------------- graphs
@@ -144,9 +145,7 @@ def embedding_from_json(obj: dict) -> MultiEmbedding:
     rotation = {
         int(v): tuple((e, end) for e, end in rot) for v, rot in obj["rotations"].items()
     }
-    emb = MultiEmbedding(labels, edges, rotation)
-    emb.validate()
-    return emb
+    return MultiEmbedding(labels, edges, rotation)
 
 
 # ---------------------------------------------------------------- vortices
@@ -200,7 +199,7 @@ def structure_to_json(a) -> dict:
 
 
 def _is_incidence(p) -> bool:
-    return isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)
+    return isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))
 
 
 def structure_from_json(obj: dict):

@@ -13,7 +13,7 @@ from typing import Hashable
 
 from . import embeddings, graphs
 from .embeddings import FacialWalk, MultiEmbedding
-from .errors import InvalidDecomposition
+from .errors import HadwigerError, InvalidDecomposition
 from .graphs import SimpleGraph
 from .report import Report
 
@@ -144,7 +144,7 @@ def validate_almost_embeddable(a: AlmostEmbeddable) -> Report:
     try:
         genus = embeddings.euler_genus(a.base)
         rep.add("base-genus", genus <= g, f"genus {genus} > declared {g}" if genus > g else None)
-    except Exception as exc:  # disconnected or malformed rotation
+    except HadwigerError as exc:  # disconnected or malformed rotation
         rep.add("base-genus", False, str(exc))
 
     rep.add("vortex-count", len(a.vortices) <= p, len(a.vortices))
@@ -227,7 +227,5 @@ def add_apexes(host: SimpleGraph, apex, apex_edges) -> SimpleGraph:
     for i, j in pairs:
         adj[i].add(j)
         adj[j].add(i)
-    g = SimpleGraph(len(labels), tuple(map(frozenset, adj)), labels)
-    vars(g)["label_index"] = index
-    return g
+    return SimpleGraph(len(labels), tuple(map(frozenset, adj)), labels)
 

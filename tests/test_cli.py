@@ -98,12 +98,11 @@ def test_eta_budget_exit_4(tmp_path, capsys):
     assert "budget" in err
 
 
-def test_eta_cap_env_override(tmp_path, capsys, monkeypatch):
+def test_eta_cap_flag_override(tmp_path, capsys):
     path = tmp_path / "k13.json"
     path.write_text(serialize.dumps(serialize.graph_to_json(graphs.complete_graph(13))))
     assert run(["eta", str(path)], capsys)[0] == 4
-    monkeypatch.setenv("HADWIGER_ETA_CAP", "16")
-    code, out, _ = run(["eta", str(path)], capsys)
+    code, out, _ = run(["eta", str(path), "--cap", "16"], capsys)
     assert code == 0
     assert out.strip() == "13"
 
@@ -232,6 +231,11 @@ BAD_SHAPES = {
     "edge-label-null": (["structure", "base", "edge_labels", "0"], None),
     "split-position-float": (["structure", "base", "edge_labels", "0"], {"split": [0, 2.5]}),
     "split-position-bool": (["structure", "base", "edge_labels", "0"], {"split": [0, True]}),
+    # accepted once, as a second encoding of the label {"str": "ab"}, of 1, and
+    # of edge 0 in the disc face's first incidence
+    "edge-label-bare-string": (["structure", "base", "edge_labels", "0"], "ab"),
+    "edge-label-bool": (["structure", "base", "edge_labels", "0"], True),
+    "disc-face-bool-edge": (["structure", "disc_faces", 0, 0, 1], False),
 }
 
 

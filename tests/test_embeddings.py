@@ -73,6 +73,14 @@ def test_validate_rejects_wrong_dart():
         emb.validate()
 
 
+def test_embedding_with_a_wrong_dart_is_refused_when_built():
+    emb = k4_embedding()
+    rotation = dict(emb.rotation)
+    rotation[0] = ((0, 1),) + rotation[0][1:]
+    with pytest.raises(MalformedRotation):
+        MultiEmbedding(emb.vertex_labels, emb.edges, rotation)
+
+
 def test_euler_genus_requires_connected():
     emb = embedding_from_neighbors(2, [[1], [0]])
     emb.vertex_labels[2] = 2

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hadwiger import graphs
 from hadwiger.errors import NotAClique, SizeMismatch
@@ -15,6 +15,11 @@ from hadwiger.graphs import Split
 def test_from_edges_rejects_loops():
     with pytest.raises(ValueError):
         graphs.from_edges(2, [(0, 0)])
+
+
+def test_from_edges_rejects_repeated_labels():
+    with pytest.raises(ValueError, match="labels not unique"):
+        graphs.from_edges(3, [(0, 1)], ("x", "y", "x"))
 
 
 def test_complete_graph_counts():
@@ -38,6 +43,7 @@ def test_grid_graph_labels_and_size():
     assert not g.has_edge(g.index_of((1, 1)), g.index_of((2, 2)))
 
 
+@settings(deadline=None, derandomize=True, database=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3))
 def test_lex_product_edge_count(n, k):
     g = graphs.cycle_graph(3) if n == 1 else graphs.grid_graph(n)

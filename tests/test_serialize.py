@@ -37,8 +37,10 @@ def typed(label):
     return (type(label).__name__, label)
 
 
+# labels as the builders make them: ints, strings, tuples and splits (a bool
+# is not a label, since JSON could not tell it from an int)
 LABELS = st.recursive(
-    st.integers(-(2**70), 2**70) | st.integers(-3, 3) | st.booleans() | st.text(max_size=2),
+    st.integers(-(2**70), 2**70) | st.integers(-3, 3) | st.text(max_size=2),
     lambda inner: st.lists(inner, max_size=3).map(tuple) | st.builds(Split, inner, st.integers(0, 9)),
     max_leaves=10,
 )
@@ -54,11 +56,11 @@ def test_label_codec_round_trips_with_types_at_every_depth(label):
     assert typed(back) == typed(label)
 
 
+# the accepted label encodings: ints, lists, {"str": ...} and {"split": ...}
 JSON_LABELS = st.recursive(
-    st.integers(-3, 3) | st.booleans() | st.text(max_size=2),
+    st.integers(-3, 3) | st.builds(lambda x: {"str": x}, st.text(max_size=2)),
     lambda inner: st.lists(inner, max_size=3)
-    | st.builds(lambda x, p: {"split": [x, p]}, inner, st.integers(0, 9))
-    | st.builds(lambda x: {"str": x}, st.text(max_size=2)),
+    | st.builds(lambda x, p: {"split": [x, p]}, inner, st.integers(0, 9)),
     max_leaves=10,
 )
 
@@ -75,6 +77,30 @@ def test_no_decoded_label_equals_a_split_unless_it_is_one(obj, owner, position):
         same = isinstance(label, Split) and (label.owner, label.position) == (split.owner, split.position)
         assert (label == split) is same
         assert (split != label) is not same
+
+
+# any JSON value, with label-like objects drawn often
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text("ab", max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["str", "split", "x"]), inner, max_size=2)
+    | st.builds(lambda x, p: {"split": [x, p]}, inner, inner),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES, JSON_VALUES)
+def test_each_label_has_one_json_encoding(a, b):
+    labels = []
+    for obj in (a, b):
+        try:
+            labels.append(serialize.label_from_json(obj))
+        except (ValueError, TypeError):
+            continue
+        assert json.dumps(serialize.label_to_json(labels[-1])) == json.dumps(obj)
+    if len(labels) == 2 and labels[0] == labels[1]:
+        assert json.dumps(a) == json.dumps(b)
 
 
 def test_graph_round_trip():

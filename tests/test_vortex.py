@@ -97,6 +97,33 @@ def test_validate_almost_embeddable_passes():
     assert vortex.validate_almost_embeddable(structure).ok
 
 
+def test_disconnected_base_fails_base_genus():
+    two_triangles = embeddings.embedding_from_neighbors(
+        6, [[1, 2], [2, 0], [0, 1], [4, 5], [5, 3], [3, 4]]
+    )
+    rep = vortex.validate_almost_embeddable(AlmostEmbeddable(base=two_triangles))
+    assert [(c.name, c.witness) for c in rep.failures] == [
+        ("base-genus", "euler genus requires a connected embedding")
+    ]
+
+
+def test_programming_error_in_the_genus_check_propagates(monkeypatch):
+    structure, _ = construction_structure()
+
+    def broken(emb):
+        raise RuntimeError("not a validation failure")
+
+    monkeypatch.setattr(embeddings, "euler_genus", broken)
+    with pytest.raises(RuntimeError):
+        vortex.validate_almost_embeddable(structure)
+
+
+def test_apex_label_equal_to_a_host_label_is_refused():
+    host = graphs.from_edges(2, [(0, 1)], ("x", "y"))
+    with pytest.raises(ValueError, match="labels not unique"):
+        vortex.add_apexes(host, ("y",), ())
+
+
 def test_tightened_declaration_fails_width():
     import dataclasses
 
