@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import bounds, embeddings, graphs, minors, vortex
@@ -63,17 +62,19 @@ def verify_certificate(cert: ConstructionCertificate) -> Report:
 # ------------------------------------------------------------ core pipeline
 
 def construct_vortex_graph(
-    emb: MultiEmbedding, faces, k: int
+    emb: MultiEmbedding, faces, k: int, params: tuple[int, int, int, int]
 ) -> tuple[AlmostEmbeddable, MinorModel]:
     """Vortex construction over an embedded graph G and a disjoint facial
-    cover: returns a structure whose flattening contains G[k] as a minor,
-    together with the witness model.
+    cover: returns a structure of the declared class `params` = (g, p, k, a)
+    whose flattening contains G[k] as a minor, together with the witness
+    model.
 
     Every edge becomes k^2 labeled parallel copies, the faces are split down
     to degree <= 3, and each face turns into a width-<=k vortex whose interior
     holds the k hub vertices per original face vertex.  Branch sets are stars:
     the hub (v, i) plus, per incident edge copy, the split vertex on v's side
     whose copy label selects i in v's position under the ascending-id order.
+    The a apexes ("apex", j) are adjacent to every vertex and to each other.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -100,6 +101,8 @@ def construct_vortex_graph(
     disc_faces = [embeddings.face_through(h0, img.states[0]) for img in images]
 
     vortices = []
+    # the non-apex labels in flatten's order: the base, then each vortex's hubs
+    labels = list(h0.simple.labels)
     for walk, face_set in zip(disc_faces, face_vertex_sets):
         perimeter = tuple(h0.vertex_labels[v] for v in walk.vertices)
         owners = [embeddings.owner_label(lab) for lab in perimeter]
@@ -107,7 +110,9 @@ def construct_vortex_graph(
             (emb.vertex_labels[v] for v in face_set), key=graphs.label_sort_key
         )
         hub = {v: [(v, i) for i in range(1, k + 1)] for v in face_labels}
-        vertex_labels = list(perimeter) + [h for v in face_labels for h in hub[v]]
+        hubs = [h for v in face_labels for h in hub[v]]
+        labels.extend(hubs)
+        vertex_labels = list(perimeter) + hubs
         index = {lab: t for t, lab in enumerate(vertex_labels)}
         edges = []
         for pos, x in enumerate(perimeter):
@@ -122,11 +127,17 @@ def construct_vortex_graph(
         )
         vortices.append(Vortex(graph, perimeter, bags))
 
+    apex = tuple(("apex", j) for j in range(1, params[3] + 1))
+    apex_edges = tuple(
+        [(x, lab) for x in apex for lab in labels] + list(combinations(apex, 2))
+    )
     structure = AlmostEmbeddable(
         base=h0,
         vortices=tuple(vortices),
         disc_faces=tuple(disc_faces),
-        params=(embeddings.euler_genus(h0), len(faces), k, 0),
+        apex=apex,
+        apex_edges=apex_edges,
+        params=params,
     )
 
     lex = graphs.lex_product(base_graph, k)
@@ -170,18 +181,27 @@ def grid_model(n: int, k: int) -> MinorModel:
     return MinorModel(host, graphs.complete_graph(n * k), sets, 1)
 
 
-def _declare(cert: ConstructionCertificate, params) -> ConstructionCertificate:
-    structure = dataclasses.replace(cert.structure, params=params)
-    # flatten never reads params, so the flattened host carries over
-    vars(structure)["host"] = cert.structure.host
-    return dataclasses.replace(cert, structure=structure)
+def _certificate(structure: AlmostEmbeddable, model: MinorModel) -> ConstructionCertificate:
+    """The certificate of a family's complete minor `model` plus one
+    singleton branch set per apex, with the guarantee of the declared class."""
+    host = structure.host
+    n = model.pattern.n
+    sets = dict(model.branch_sets)
+    sets.update((n + j, frozenset({host.index_of(x)})) for j, x in enumerate(structure.apex))
+    target = n + len(structure.apex)
+    return ConstructionCertificate(
+        structure=structure,
+        target=target,
+        model=MinorModel(host, graphs.complete_graph(target), sets, 1),
+        guarantee=bounds.lower_guarantee(*structure.params),
+    )
 
 
-def one_vortex(g: int, k: int) -> ConstructionCertificate:
-    """Single-vortex construction from a near-minimal complete-graph
-    triangulation: delete one vertex, whose link is a Hamiltonian facial
-    cycle, and run the vortex construction on it.  Yields a complete minor
-    of order (m-1)k >= k*sqrt(6g)."""
+def one_vortex(g: int, p: int, k: int, a: int) -> ConstructionCertificate:
+    """Single-vortex construction in the class (g, p, k, a) from a
+    near-minimal complete-graph triangulation: delete one vertex, whose link
+    is a Hamiltonian facial cycle, and run the vortex construction on it.
+    Yields a complete minor of order (m-1)k + a >= k*sqrt(6g) + a."""
     if g < 1:
         raise GZero("construction is vacuous without genus")
     if k < 1:
@@ -202,20 +222,15 @@ def one_vortex(g: int, k: int) -> ConstructionCertificate:
         for w in reduced.faces
         if w.is_cycle and set(w.vertices) == set(reduced.vertex_labels)
     )
-    structure, model = construct_vortex_graph(reduced, [hamiltonian], k)
-    cert = ConstructionCertificate(
-        structure=structure,
-        target=(m - 1) * k,
-        model=model,
-        guarantee=bounds.BoundValue.of(0, (6 * g, k)),
-    )
-    return _declare(cert, (g, 1, k, 0))
+    # the reduced triangulation is complete, so its blowup model is too
+    return _certificate(*construct_vortex_graph(reduced, [hamiltonian], k, (g, p, k, a)))
 
 
-def many_vortex(p: int, k: int) -> ConstructionCertificate:
-    """Many-vortex construction over an even grid: one vortex per 2x2 block,
-    composed with the explicit grid blowup model.  Yields a complete minor
-    of order 2*floor(sqrt(p))*floor(k/2) >= (2/(3*sqrt(3)))*k*sqrt(p)."""
+def many_vortex(g: int, p: int, k: int, a: int) -> ConstructionCertificate:
+    """Many-vortex construction in the class (g, p, k, a) over an even grid:
+    one vortex per 2x2 block, composed with the explicit grid blowup model.
+    Yields a complete minor of order 2*floor(sqrt(p))*floor(k/2) + a
+    >= (2/(3*sqrt(3)))*k*sqrt(p) + a."""
     if k < 2:
         raise KTooSmall("at least two hub vertices per face vertex are needed")
     if p < 1:
@@ -237,60 +252,20 @@ def many_vortex(p: int, k: int) -> ConstructionCertificate:
                 ]
             ]
             faces.append(embeddings.find_facial_cycle(emb, block))
-    structure, outer = construct_vortex_graph(emb, faces, 2 * half)
-    inner = grid_model(2 * m, half)
-    model = minors.compose_models(outer, inner)
-    cert = ConstructionCertificate(
-        structure=structure,
-        target=2 * m * half,
-        model=model,
-        guarantee=bounds.BoundValue.of(0, (3 * p, Fraction(2 * k, 9))),
-    )
-    return _declare(cert, (0, p, k, 0))
+    structure, outer = construct_vortex_graph(emb, faces, 2 * half, (g, p, k, a))
+    return _certificate(structure, minors.compose_models(outer, grid_model(2 * m, half)))
 
 
-def combined(g: int, p: int, k: int) -> ConstructionCertificate:
-    """Either construction, whichever branch applies, re-declared for the
-    requested class and carrying the uniform guarantee k*sqrt(p+g)/4."""
+def with_apex(g: int, p: int, k: int, a: int) -> ConstructionCertificate:
+    """The construction for the class (g, p, k, a): one vortex when g >= p,
+    many vortices otherwise, plus `a` dominant apex vertices.  Both the
+    target order and the guarantee a + k*sqrt(p+g)/4 grow by exactly a."""
+    if a < 0:
+        raise ValueError("a must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
     if g < 0:
         raise ValueError("g must be >= 0")
-    if g >= p and g >= 1:
-        cert = one_vortex(g, k)
-    else:
-        cert = many_vortex(p, k)
-    cert = _declare(cert, (g, p, k, 0))
-    return dataclasses.replace(cert, guarantee=bounds.lower_guarantee(g, p, k, 0))
-
-
-def with_apex(g: int, p: int, k: int, a: int) -> ConstructionCertificate:
-    """Combined construction plus `a` dominant apex vertices; both the
-    target order and the guarantee grow by exactly a."""
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    cert = combined(g, p, k)
-    if a == 0:
-        return cert
-    old_host = cert.structure.host
-    apex = tuple(("apex", j) for j in range(1, a + 1))
-    apex_edges = tuple(
-        [(x, lab) for x in apex for lab in old_host.labels] + list(combinations(apex, 2))
-    )
-    structure = dataclasses.replace(
-        cert.structure, apex=apex, apex_edges=apex_edges, params=(g, p, k, a)
-    )
-    # the apex-free structure is already flattened: add the apexes to its host
-    host = vars(structure)["host"] = vortex.add_apexes(old_host, apex, apex_edges)
-    n = cert.target
-    # add_apexes keeps the old host's indices and numbers apex j after them
-    sets = dict(cert.model.branch_sets)
-    for j in range(1, a + 1):
-        sets[n + j - 1] = frozenset({old_host.n + j - 1})
-    model = MinorModel(host, graphs.complete_graph(n + a), sets, 1)
-    return ConstructionCertificate(
-        structure=structure,
-        target=n + a,
-        model=model,
-        guarantee=bounds.lower_guarantee(g, p, k, a),
-    )
+    # p >= 1, so g >= p leaves the one-vortex family a genus to work with
+    family = one_vortex if g >= p else many_vortex
+    return family(g, p, k, a)

@@ -99,7 +99,9 @@ def graph_from_json(obj: dict) -> SimpleGraph:
 def graph_to_dot(g: SimpleGraph, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
     for i, lab in enumerate(g.labels):
-        lines.append(f'  {i} [label="{lab}"];')
+        # escape quotes, and double backslashes so none escapes the closing quote
+        text = str(lab).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {i} [label="{text}"];')
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

@@ -151,7 +151,6 @@ def validate_almost_embeddable(a: AlmostEmbeddable) -> Report:
     rep.add("apex-count", len(a.apex) <= apex_cap, len(a.apex))
 
     base_labels = set(a.base.vertex_labels.values())
-    traced = {w.incidences for w in a.base.faces}
 
     seen: set = set()
     disjoint_ok = True
@@ -181,7 +180,7 @@ def validate_almost_embeddable(a: AlmostEmbeddable) -> Report:
             sorted(shared ^ set(v.perimeter), key=graphs.label_sort_key) or None,
         )
 
-        rep.add(f"vortex-{i}-disc-is-face", face.incidences in traced and face.is_cycle)
+        rep.add(f"vortex-{i}-disc-is-face", embeddings._is_face(a.base, face) and face.is_cycle)
         face_labels = [a.base.vertex_labels[u] for u in face.vertices]
         rep.add(
             f"vortex-{i}-perimeter-matches-disc",

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import dot_reader
 import hadwiger
 from hadwiger import cli, graphs, serialize
 from hadwiger.cli import main
@@ -175,6 +176,30 @@ def test_export_dot_and_json(tmp_path, capsys):
     code, out, _ = run(["export", str(cert), "--format", "json"], capsys)
     assert code == 0
     assert "edges" in json.loads(out)
+
+
+HOSTILE_LABEL = 'x"]; injected [shape=box'
+
+
+def test_export_dot_quotes_every_label(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    run(["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(cert)], capsys)
+    obj = json.loads(cert.read_text())
+    vertices = obj["structure"]["base"]["vertices"]
+    ids = sorted(vertices, key=int)
+    vertices[ids[0]] = {"str": HOSTILE_LABEL}
+    vertices[ids[-1]] = {"str": "ends in a backslash \\"}
+    cert.write_text(json.dumps(obj))
+    code, dot, _ = run(["export", str(cert), "--format", "dot"], capsys)
+    assert code == 0
+    code, out, _ = run(["export", str(cert), "--format", "json"], capsys)
+    assert code == 0
+    host = json.loads(out)
+    nodes, edges = dot_reader.read_graph(dot)
+    assert [v for v, _ in nodes] == [str(i) for i in range(host["n"])]
+    assert edges == [(str(u), str(v)) for u, v in host["edges"]]
+    shown = {attrs["label"] for _, attrs in nodes}
+    assert {HOSTILE_LABEL, "ends in a backslash \\"} <= shown
 
 
 def test_construct_is_deterministic(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import pytest
@@ -21,9 +22,24 @@ def triangle_face():
     return emb, embeddings.trace_faces(emb)[0]
 
 
+def assert_family_guarantee(cert, paper_bound, g, p, k, a):
+    """The target meets the family's bound from the paper, and the guarantee
+    is the declared class's a + k*sqrt(p+g)/4."""
+    assert bool(cert.target >= a + paper_bound), (cert.target, paper_bound)
+    assert as_sympy(cert.guarantee) == a + sympy.Rational(k, 4) * sympy.sqrt(p + g)
+
+
+def one_vortex_bound(g, k):
+    return k * sympy.sqrt(6 * g)
+
+
+def many_vortex_bound(p, k):
+    return sympy.Rational(2, 3) * k * sympy.sqrt(p) / sympy.sqrt(3)
+
+
 def test_vortex_graph_k3_k1():
     emb, face = triangle_face()
-    structure, model = constructions.construct_vortex_graph(emb, [face], 1)
+    structure, model = constructions.construct_vortex_graph(emb, [face], 1, (0, 1, 1, 0))
     assert vortex.validate_almost_embeddable(structure).ok
     assert minors.verify_model(model).ok
     assert model.pattern.n == 3
@@ -32,7 +48,7 @@ def test_vortex_graph_k3_k1():
 
 def test_vortex_graph_k3_k2_gives_k6():
     emb, face = triangle_face()
-    structure, model = constructions.construct_vortex_graph(emb, [face], 2)
+    structure, model = constructions.construct_vortex_graph(emb, [face], 2, (0, 1, 2, 0))
     assert minors.verify_model(model).ok
     assert model.pattern.n == 6
     assert model.pattern.m == 15
@@ -42,7 +58,7 @@ def test_vortex_graph_k3_k2_gives_k6():
 def test_vortex_graph_l2_inner_face():
     emb = embeddings.grid_embedding(2)
     face = embeddings.find_facial_cycle(emb, [0, 1, 3, 2])
-    structure, model = constructions.construct_vortex_graph(emb, [face], 2)
+    structure, model = constructions.construct_vortex_graph(emb, [face], 2, (0, 1, 2, 0))
     assert vortex.validate_almost_embeddable(structure).ok
     assert minors.verify_model(model).ok
     assert structure.params == (0, 1, 2, 0)
@@ -57,7 +73,7 @@ def test_disc_faces_follow_input_faces():
         (grid, embeddings.find_facial_cycle(grid, [0, 1, 3, 2]), 2),
     ]
     for base, face, k in cases:
-        structure, _ = constructions.construct_vortex_graph(base, [face], k)
+        structure, _ = constructions.construct_vortex_graph(base, [face], k, (0, 1, k, 0))
         (disc,) = structure.disc_faces
         assert disc in embeddings.trace_faces(structure.base)
         owners = [
@@ -73,7 +89,7 @@ def test_vortex_graph_rejects_partial_cover():
     emb = embeddings.grid_embedding(3)
     face = embeddings.find_facial_cycle(emb, [0, 1, 4, 3])
     with pytest.raises(FacesDontCoverVertices):
-        constructions.construct_vortex_graph(emb, [face], 2)
+        constructions.construct_vortex_graph(emb, [face], 2, (0, 1, 2, 0))
 
 
 def test_vortex_graph_rejects_overlapping_faces():
@@ -81,7 +97,7 @@ def test_vortex_graph_rejects_overlapping_faces():
     inner = embeddings.find_facial_cycle(emb, [0, 1, 3, 2])
     outer = next(w for w in embeddings.trace_faces(emb) if w.states != inner.states)
     with pytest.raises(FacesNotDisjoint):
-        constructions.construct_vortex_graph(emb, [inner, outer], 2)
+        constructions.construct_vortex_graph(emb, [inner, outer], 2, (0, 2, 2, 0))
 
 
 def test_grid_model_trivial():
@@ -114,80 +130,103 @@ def test_grid_model_n3_k2():
 
 
 def test_one_vortex_g1_k1():
-    cert = constructions.one_vortex(1, 1)
+    cert = constructions.one_vortex(1, 1, 1, 0)
     assert cert.target == 3
     assert constructions.verify_certificate(cert).ok
     assert bool(cert.guarantee < 3)
-    assert as_sympy(cert.guarantee) == sympy.sqrt(6)
+    assert_family_guarantee(cert, one_vortex_bound(1, 1), 1, 1, 1, 0)
 
 
 def test_one_vortex_g1_k2():
-    cert = constructions.one_vortex(1, 2)
+    cert = constructions.one_vortex(1, 1, 2, 0)
     assert cert.target == 6
     assert constructions.verify_certificate(cert).ok
 
 
 def test_one_vortex_g2_k1_uses_k6():
-    cert = constructions.one_vortex(2, 1)
+    cert = constructions.one_vortex(2, 1, 1, 0)
     assert cert.target == 5
-    assert as_sympy(cert.guarantee) == sympy.sqrt(12)
+    assert_family_guarantee(cert, one_vortex_bound(2, 1), 2, 1, 1, 0)
     assert constructions.verify_certificate(cert).ok
 
 
 def test_one_vortex_rejects_g0():
     with pytest.raises(GZero):
-        constructions.one_vortex(0, 2)
+        constructions.one_vortex(0, 1, 2, 0)
 
 
 def test_one_vortex_catalog_gap():
     # first genus whose triangulation order falls outside the catalog
     with pytest.raises(GenusOutOfCatalog) as exc:
-        constructions.one_vortex(7, 1)
+        constructions.one_vortex(7, 1, 1, 0)
     assert exc.value.required_range == (8, 9)
 
 
 def test_many_vortex_p1_k2():
-    cert = constructions.many_vortex(1, 2)
+    cert = constructions.many_vortex(0, 1, 2, 0)
     assert cert.target == 2
     assert constructions.verify_certificate(cert).ok
     assert cert.structure.params == (0, 1, 2, 0)
 
 
 def test_many_vortex_p4_k2():
-    cert = constructions.many_vortex(4, 2)
+    cert = constructions.many_vortex(0, 4, 2, 0)
     assert cert.target == 4
     assert constructions.verify_certificate(cert).ok
 
 
 @pytest.mark.parametrize("p, k", [(1, 2), (3, 3), (5, 2), (12, 4)])
 def test_many_vortex_guarantee_matches_sympy(p, k):
-    cert = constructions.many_vortex(p, k)
-    assert as_sympy(cert.guarantee) == sympy.Rational(2, 3) * k * sympy.sqrt(p) / sympy.sqrt(3)
+    cert = constructions.many_vortex(0, p, k, 0)
+    assert_family_guarantee(cert, many_vortex_bound(p, k), 0, p, k, 0)
 
 
 def test_many_vortex_floor_behavior():
-    assert constructions.many_vortex(1, 3).target == 2
+    assert constructions.many_vortex(0, 1, 3, 0).target == 2
 
 
 def test_many_vortex_rejects_k1():
     with pytest.raises(KTooSmall):
-        constructions.many_vortex(4, 1)
+        constructions.many_vortex(0, 4, 1, 0)
 
 
-def test_combined_branches():
-    high_genus = constructions.combined(2, 1, 2)
+def test_with_apex_branches():
+    high_genus = constructions.with_apex(2, 1, 2, 0)
     assert high_genus.target == 10
     assert bool(as_sympy(high_genus.guarantee) == sympy.sqrt(3) / 2)
-    flat = constructions.combined(0, 1, 2)
+    flat = constructions.with_apex(0, 1, 2, 0)
     assert flat.target == 2
-    mixed = constructions.combined(1, 4, 2)
+    mixed = constructions.with_apex(1, 4, 2, 0)
     assert mixed.target == 4
     for cert in (high_genus, flat, mixed):
         assert constructions.verify_certificate(cert).ok
 
 
-def test_with_apex_zero_is_combined():
-    assert constructions.with_apex(0, 1, 2, 0).target == constructions.combined(0, 1, 2).target
+def test_with_apex_zero_is_the_family_certificate():
+    cert = constructions.with_apex(0, 1, 2, 0)
+    family = constructions.many_vortex(0, 1, 2, 0)
+    assert cert.target == family.target
+    assert serialize.certificate_to_json(cert) == serialize.certificate_to_json(family)
+
+
+FAMILY_POINTS = [
+    ("one_vortex", (1, 1, 1, 0)),
+    ("one_vortex", (2, 1, 2, 2)),
+    ("many_vortex", (0, 1, 2, 0)),
+    ("many_vortex", (1, 4, 3, 1)),
+]
+
+
+@pytest.mark.parametrize("family, point", FAMILY_POINTS)
+def test_family_certificate_reloads_with_its_guarantee(family, point):
+    cert = getattr(constructions, family)(*point)
+    text = serialize.dumps(serialize.certificate_to_json(cert))
+    obj = json.loads(text)
+    back = serialize.certificate_from_json(obj)
+    assert back.guarantee == cert.guarantee
+    assert obj["guarantee_expr"] == str(back.guarantee)
+    assert serialize.dumps(serialize.certificate_to_json(back)) == text
+    assert constructions.verify_certificate(back).ok
 
 
 def test_with_apex_adds_singletons():
@@ -281,9 +320,16 @@ def test_construct_flattens_each_structure_once(tmp_path, monkeypatch, point):
         x for flag, v in zip(("--g", "--p", "--k", "--a"), point) for x in (flag, str(v))
     ]
     assert main(argv + ["--out", str(tmp_path / "cert.json")]) == 0
-    # only the apex-free structure is flattened: re-declared params and added
-    # apexes carry its host over
+    # the structure is built once, apexes included, and flattened once
     assert len(flattened) == 1
+
+
+@pytest.mark.parametrize("point", [(0, 4, 2, 1), (1, 1, 2, 0)])
+def test_construct_and_verify_take_the_base_genus_once(monkeypatch, point):
+    genus_of = _record_calls(monkeypatch, embeddings, "euler_genus")
+    cert = constructions.with_apex(*point)
+    assert constructions.verify_certificate(cert).ok
+    assert sum(emb is cert.structure.base for emb in genus_of) == 1
 
 
 @pytest.mark.parametrize("point", [(0, 4, 2, 1), (1, 1, 2, 2)])
@@ -300,10 +346,10 @@ def test_catalog_decision_matches_sympy():
         m0 = sympy.sqrt(6 * g) + 1
         fits = [c for c in embeddings.CATALOG_MEMBERS if m0 <= c <= m0 + 2]
         if fits:
-            assert constructions.one_vortex(g, 1).target == fits[0] - 1, g
+            assert constructions.one_vortex(g, 1, 1, 0).target == fits[0] - 1, g
         else:
             with pytest.raises(GenusOutOfCatalog) as exc:
-                constructions.one_vortex(g, 1)
+                constructions.one_vortex(g, 1, 1, 0)
             expected = (int(sympy.ceiling(m0)), int(sympy.floor(m0 + 2)))
             assert exc.value.required_range == expected, g
 

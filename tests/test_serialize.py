@@ -3,6 +3,8 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dot_reader
+
 from hadwiger import constructions, embeddings, graphs, minors, serialize, vortex
 from hadwiger.graphs import Split
 
@@ -116,6 +118,14 @@ def test_graph_to_dot_mentions_every_edge():
     assert dot.count("--") == 3
 
 
+def test_graph_to_dot_quotes_every_label():
+    labels = ('x"]; injected [shape=box', "back\\", '\\"', ("t", 1), 7)
+    g = graphs.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], labels)
+    nodes, edges = dot_reader.read_graph(serialize.graph_to_dot(g))
+    assert nodes == [(str(i), {"label": str(lab)}) for i, lab in enumerate(labels)]
+    assert edges == [(str(u), str(v)) for u, v in g.edges()]
+
+
 def test_embedding_round_trip_preserves_faces():
     emb = embeddings.triangulation_catalog(6)
     back = serialize.embedding_from_json(serialize.embedding_to_json(emb))
@@ -133,9 +143,9 @@ def test_certificate_round_trip_reverifies():
 
 
 def test_dumps_is_deterministic():
-    cert = constructions.combined(0, 1, 2)
+    cert = constructions.with_apex(0, 1, 2, 0)
     a = serialize.dumps(serialize.certificate_to_json(cert))
-    b = serialize.dumps(serialize.certificate_to_json(constructions.combined(0, 1, 2)))
+    b = serialize.dumps(serialize.certificate_to_json(constructions.with_apex(0, 1, 2, 0)))
     assert a == b
 
 
@@ -149,7 +159,7 @@ def test_model_round_trip():
 
 def test_vortex_round_trip():
     structure, _ = constructions.construct_vortex_graph(
-        embeddings.triangulation_catalog(3), [embeddings.trace_faces(embeddings.triangulation_catalog(3))[0]], 2
+        embeddings.triangulation_catalog(3), [embeddings.trace_faces(embeddings.triangulation_catalog(3))[0]], 2, (0, 1, 2, 0)
     )
     v = structure.vortices[0]
     back = serialize.vortex_from_json(serialize.vortex_to_json(v))

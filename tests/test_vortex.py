@@ -82,7 +82,7 @@ def test_width_raises_with_property_index():
 def construction_structure(k=2):
     emb = embeddings.triangulation_catalog(3)
     face = embeddings.trace_faces(emb)[0]
-    return constructions.construct_vortex_graph(emb, [face], k)
+    return constructions.construct_vortex_graph(emb, [face], k, (0, 1, k, 0))
 
 
 def test_construction_vortex_validates():
