@@ -5,16 +5,6 @@ class HadwigerError(Exception):
     """Base class for all package-specific errors."""
 
 
-# graph algebra
-
-class NotAClique(HadwigerError):
-    pass
-
-
-class SizeMismatch(HadwigerError):
-    pass
-
-
 # embeddings
 
 class MalformedRotation(HadwigerError):
@@ -66,14 +56,6 @@ class KTooSmall(HadwigerError):
 
 
 # minor models and oracles
-
-class CapacityExceeded(HadwigerError):
-    pass
-
-
-class SideInvalid(HadwigerError):
-    pass
-
 
 class BudgetExceeded(HadwigerError):
     pass

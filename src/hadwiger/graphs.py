@@ -13,8 +13,6 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Hashable, Iterable, Sequence
 
-from .errors import NotAClique, SizeMismatch
-
 
 # The first member of every Split: it hashes the same in every process, as a
 # str under PYTHONHASHSEED or an object() by address would not, and no JSON
@@ -84,21 +82,12 @@ class SimpleGraph:
     def index_of(self, label) -> int:
         return self.label_index[label]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
 
     @property
     def m(self) -> int:
         return sum(len(a) for a in self.adj) // 2
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def relabel(self, labels: Sequence[Hashable]) -> "SimpleGraph":
-        return SimpleGraph(self.n, self.adj, tuple(labels))
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]], labels=None) -> SimpleGraph:
@@ -117,12 +106,6 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]], labels=None) -> SimpleG
 
 def complete_graph(m: int) -> SimpleGraph:
     return from_edges(m, combinations(range(m), 2))
-
-
-def cycle_graph(m: int) -> SimpleGraph:
-    if m < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return from_edges(m, [(i, (i + 1) % m) for i in range(m)])
 
 
 def grid_graph(n: int) -> SimpleGraph:
@@ -163,74 +146,6 @@ def lex_product(g: SimpleGraph, k: int) -> SimpleGraph:
         )
     labels = tuple((g.labels[v], i) for v in range(g.n) for i in range(1, k + 1))
     return from_edges(g.n * k, edges, labels)
-
-
-def min_degree(g: SimpleGraph) -> int:
-    if g.n == 0:
-        return 0
-    return min(g.degree(v) for v in range(g.n))
-
-
-def is_clique(g: SimpleGraph, vertices: Iterable[int]) -> bool:
-    vs = list(vertices)
-    return all(g.has_edge(u, v) for u, v in combinations(vs, 2))
-
-
-def clique_sum_with_embeddings(
-    g1: SimpleGraph,
-    c1: Sequence[int],
-    g2: SimpleGraph,
-    c2: Sequence[int],
-    drop: Iterable[tuple[int, int]] = (),
-):
-    """Clique-sum identifying c1[i] with c2[i], then deleting the `drop` edges
-    (given as index pairs into c1/c2 positions).
-
-    Returns (sum graph, map1, map2) where map_i sends a vertex of g_i to its
-    vertex in the sum.  Identified vertices keep g1's labels.
-    """
-    c1 = list(c1)
-    c2 = list(c2)
-    if len(c1) != len(c2):
-        raise SizeMismatch(f"|C1|={len(c1)} != |C2|={len(c2)}")
-    if len(set(c1)) != len(c1) or len(set(c2)) != len(c2):
-        raise ValueError("clique vertex lists contain repeats")
-    if not is_clique(g1, c1):
-        raise NotAClique("C1 is not a clique in G1")
-    if not is_clique(g2, c2):
-        raise NotAClique("C2 is not a clique in G2")
-
-    map1 = list(range(g1.n))
-    map2 = [None] * g2.n
-    for pos, w in enumerate(c2):
-        map2[w] = c1[pos]
-    next_id = g1.n
-    labels = list(g1.labels)
-    c2_set = set(c2)
-    for w in range(g2.n):
-        if w in c2_set:
-            continue
-        map2[w] = next_id
-        labels.append(g2.labels[w])
-        next_id += 1
-    if len(set(labels)) != len(labels):
-        raise ValueError("label collision between summands")
-
-    edges = set()
-    for u, v in g1.edges():
-        edges.add((min(u, v), max(u, v)))
-    for u, v in g2.edges():
-        a, b = map2[u], map2[v]
-        edges.add((min(a, b), max(a, b)))
-    for i, j in drop:
-        a, b = c1[i], c1[j]
-        edges.discard((min(a, b), max(a, b)))
-    g = from_edges(next_id, sorted(edges), labels)
-    return g, tuple(map1), tuple(map2)
-
-
-def clique_sum(g1, c1, g2, c2, drop=()) -> SimpleGraph:
-    return clique_sum_with_embeddings(g1, c1, g2, c2, drop)[0]
 
 
 def is_connected_subset(g: SimpleGraph, vertices: Iterable[int]) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graphs
-from .errors import BudgetExceeded, CapacityExceeded, SideInvalid
+from .errors import BudgetExceeded
 from .graphs import SimpleGraph
 from .report import Report
 
@@ -86,73 +86,6 @@ def verify_model(model: MinorModel) -> Report:
     ]
     rep.add("pattern-edges-touch", not untouched, untouched or None)
     return rep
-
-
-# ------------------------------------------------------------ multiplicity
-
-def model_to_lex(model: MinorModel, k: int) -> MinorModel:
-    """Turn a multiplicity-k model in G into a multiplicity-1 model in G[k]
-    by handing the branch sets through v (in pattern-index order) the copies
-    (v, 1), (v, 2), ...  Raises CapacityExceeded if some vertex carries more
-    than k sets."""
-    host = model.host
-    lex = graphs.lex_product(host, k)
-    users: dict = {v: [] for v in range(host.n)}
-    for x in sorted(model.branch_sets):
-        for v in model.branch_sets[x]:
-            users[v].append(x)
-    for v, xs in users.items():
-        if len(xs) > k:
-            raise CapacityExceeded(
-                f"vertex {host.labels[v]!r} lies in {len(xs)} sets, k={k}"
-            )
-    new_sets = {}
-    for x, s in model.branch_sets.items():
-        lifted = set()
-        for v in s:
-            copy = users[v].index(x) + 1
-            lifted.add(lex.index_of((host.labels[v], copy)))
-        new_sets[x] = frozenset(lifted)
-    return MinorModel(lex, model.pattern, new_sets, 1)
-
-
-def lex_to_model(model: MinorModel, base: SimpleGraph, k: int) -> MinorModel:
-    """Project a multiplicity-1 model in base[k] down to a multiplicity-k
-    model in the base.  Host labels must have the (base label, copy) shape."""
-    new_sets = {}
-    for x, s in model.branch_sets.items():
-        projected = set()
-        for v in s:
-            lab, _copy = model.host.labels[v]
-            projected.add(base.index_of(lab))
-        new_sets[x] = frozenset(projected)
-    return MinorModel(base, model.pattern, new_sets, k)
-
-
-# ------------------------------------------------------------ transport
-
-def project_model_cliquesum(
-    model: MinorModel, side_graph: SimpleGraph, embed
-) -> MinorModel:
-    """Restrict a model in a clique-sum to one summand.
-
-    `embed` maps summand vertices to host vertices.  Branch-set pieces cut
-    off by the other side reconnect through the identified clique, whose
-    edges the summand retains.  Raises SideInvalid when some set misses the
-    summand entirely or the restriction stops being a model.
-    """
-    inverse = {h: s for s, h in enumerate(embed)}
-    new_sets = {}
-    for x, s in model.branch_sets.items():
-        projected = frozenset(inverse[v] for v in s if v in inverse)
-        if not projected:
-            raise SideInvalid(f"branch set {x} avoids the chosen side")
-        new_sets[x] = projected
-    out = MinorModel(side_graph, model.pattern, new_sets, model.multiplicity)
-    rep = verify_model(out)
-    if not rep.ok:
-        raise SideInvalid("; ".join(str(c) for c in rep.failures))
-    return out
 
 
 def compose_models(outer: MinorModel, inner: MinorModel) -> MinorModel:
@@ -338,10 +271,6 @@ def hadwiger_model(g: SimpleGraph, cap: int = ORACLE_CAP) -> tuple[int, MinorMod
         sets[x] = frozenset(members)
     model = MinorModel(g, graphs.complete_graph(best), sets, 1)
     return best, model
-
-
-def hadwiger_oracle(g: SimpleGraph, cap: int = ORACLE_CAP) -> int:
-    return hadwiger_model(g, cap)[0]
 
 
 def treewidth_ordering(g: SimpleGraph, cap: int = ORACLE_CAP) -> tuple[int, list[int]]:

@@ -9,8 +9,10 @@ Schemas:
   model        {"pattern_n": t, "sets": {"x": [host indices]}, "k": 1}
   certificate  {"structure": ..., "model": ..., "n": ..., "guarantee_expr": ...}
 
-A certificate's model is verified as a multiplicity-1 (classical) model,
-whatever its `k` declares.
+Objects keyed by decimal strings may not name one index twice ("7" and
+"07"), and `labels` and `bags` hold one entry per vertex and per perimeter
+position.  A certificate's model is verified as a multiplicity-1 (classical)
+model, whatever its `k` declares.
 
 All output is key-sorted so identical inputs give byte-identical files.
 """
@@ -33,6 +35,15 @@ def _require(ok: bool, message: str):
     """Reject a field of the wrong JSON type before any object is built."""
     if not ok:
         raise ValueError(message)
+
+
+def _keyed(obj, what: str) -> dict:
+    """A JSON object keyed by integer strings, rekeyed by the integers; two
+    keys naming one integer, such as "7" and "07", are refused."""
+    _require(isinstance(obj, dict), f"{what} is not an object")
+    out = {int(k): v for k, v in obj.items()}
+    _require(len(out) == len(obj), f"{what} names an index twice")
+    return out
 
 
 # ---------------------------------------------------------------- labels
@@ -92,6 +103,7 @@ def graph_from_json(obj: dict) -> SimpleGraph:
     n = graph_order(obj)
     labels = None
     if obj.get("labels"):
+        _require(len(obj["labels"]) == n, "graph labels do not number n")
         labels = tuple(label_from_json(obj["labels"][str(i)]) for i in range(n))
     return graphs.from_edges(n, [tuple(e) for e in obj["edges"]], labels)
 
@@ -125,27 +137,22 @@ def embedding_to_json(emb: MultiEmbedding) -> dict:
 
 
 def embedding_from_json(obj: dict) -> MultiEmbedding:
-    for key in ("edges", "vertices", "rotations"):
-        _require(isinstance(obj[key], dict), f"embedding {key} is not an object")
-    for key in ("signatures", "edge_labels"):
-        _require(isinstance(obj.get(key, {}), dict), f"embedding {key} is not an object")
-    signatures = {int(e): s for e, s in obj.get("signatures", {}).items()}
+    signatures = _keyed(obj.get("signatures", {}), "embedding signatures")
     edge_labels = {
-        int(e): label_from_json(lab) for e, lab in obj.get("edge_labels", {}).items()
+        e: label_from_json(lab)
+        for e, lab in _keyed(obj.get("edge_labels", {}), "embedding edge_labels").items()
     }
     # unpacking rejects an edge or a dart that is not a pair
     edges = {
-        int(e): EmbEdge(
-            int(e),
-            (u, v),
-            signatures.get(int(e), 1),
-            edge_labels.get(int(e)),
-        )
-        for e, (u, v) in obj["edges"].items()
+        e: EmbEdge(e, (u, v), signatures.get(e, 1), edge_labels.get(e))
+        for e, (u, v) in _keyed(obj["edges"], "embedding edges").items()
     }
-    labels = {int(v): label_from_json(lab) for v, lab in obj["vertices"].items()}
+    labels = {
+        v: label_from_json(lab) for v, lab in _keyed(obj["vertices"], "embedding vertices").items()
+    }
     rotation = {
-        int(v): tuple((e, end) for e, end in rot) for v, rot in obj["rotations"].items()
+        v: tuple((e, end) for e, end in rot)
+        for v, rot in _keyed(obj["rotations"], "embedding rotations").items()
     }
     return MultiEmbedding(labels, edges, rotation)
 
@@ -178,6 +185,7 @@ def vortex_from_json(obj: dict):
     )
     graph = graph_from_json(obj["graph"])
     perimeter = tuple(label_from_json(x) for x in obj["perimeter"])
+    _require(len(obj["bags"]) == len(perimeter), "vortex bags do not match its perimeter")
     bags = tuple(
         frozenset(label_from_json(x) for x in obj["bags"][str(pos)])
         for pos in range(len(perimeter))
@@ -269,11 +277,11 @@ def model_from_json(obj: dict, host: SimpleGraph):
         ),
         "model sets is not an object of integer lists keyed by decimal strings",
     )
+    sets = {x: frozenset(s) for x, s in _keyed(obj["sets"], "model sets").items()}
     if "pattern_edges" in obj:
         pattern = graphs.from_edges(t, [tuple(e) for e in obj["pattern_edges"]])
     else:
         pattern = graphs.complete_graph(t)
-    sets = {int(x): frozenset(s) for x, s in obj["sets"].items()}
     return MinorModel(host, pattern, sets, obj.get("k", 1))
 
 

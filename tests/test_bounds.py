@@ -19,7 +19,7 @@ def test_surface_bound_values():
 def test_surface_bound_holds_for_k7():
     emb = embeddings.triangulation_catalog(7)
     g = embeddings.euler_genus(emb)
-    eta = minors.hadwiger_oracle(emb.simple)
+    eta = minors.hadwiger_model(emb.simple)[0]
     assert eta == 7
     assert bounds.surface_bound(g) >= eta
 

@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hadwiger import graphs, minors, serialize
-from hadwiger.errors import BudgetExceeded, CapacityExceeded, SideInvalid
+from hadwiger.errors import BudgetExceeded
 from hadwiger.minors import MinorModel
 from oracles import (
     bramble_order,
     check_tree_decomposition,
     naive_eta,
     naive_treewidth,
+)
+from paper_lemmas import (
+    clique_sum_with_embeddings,
+    cycle_graph,
+    lex_to_model,
+    model_to_lex,
+    project_model_cliquesum,
 )
 
 
@@ -23,7 +30,7 @@ def petersen():
 
 
 def c6_triangle_model():
-    c6 = graphs.cycle_graph(6)
+    c6 = cycle_graph(6)
     sets = {0: frozenset({0, 1}), 1: frozenset({2, 3}), 2: frozenset({4, 5})}
     return MinorModel(c6, graphs.complete_graph(3), sets, 1)
 
@@ -55,7 +62,7 @@ def test_verify_model_detects_missing_pattern_edge():
 
 def k4_in_c4_overlap_model():
     """Every C_4 vertex carries two branch sets; touch is by shared vertices."""
-    c4 = graphs.cycle_graph(4)
+    c4 = cycle_graph(4)
     sets = {
         0: frozenset({0, 1}),
         1: frozenset({1, 2}),
@@ -70,7 +77,7 @@ def test_overlap_model_verifies_with_multiplicity_2():
 
 
 def test_model_to_lex_gives_disjoint_model():
-    lifted = minors.model_to_lex(k4_in_c4_overlap_model(), 2)
+    lifted = model_to_lex(k4_in_c4_overlap_model(), 2)
     assert lifted.multiplicity == 1
     assert minors.verify_model(lifted).ok
     assert lifted.host.n == 8
@@ -78,21 +85,21 @@ def test_model_to_lex_gives_disjoint_model():
 
 def test_model_to_lex_rejects_overloaded_vertex():
     m = k4_in_c4_overlap_model()
-    with pytest.raises(CapacityExceeded):
-        minors.model_to_lex(m, 1)
+    with pytest.raises(ValueError, match="lies in 2 sets, k=1"):
+        model_to_lex(m, 1)
 
 
 def test_lex_round_trip():
     m = k4_in_c4_overlap_model()
-    lifted = minors.model_to_lex(m, 2)
-    back = minors.lex_to_model(lifted, m.host, 2)
+    lifted = model_to_lex(m, 2)
+    back = lex_to_model(lifted, m.host, 2)
     assert minors.verify_model(back).ok
     assert back.branch_sets == m.branch_sets
 
 
 def test_model_to_lex_k1_is_identity_up_to_labels():
     m = c6_triangle_model()
-    lifted = minors.model_to_lex(m, 1)
+    lifted = model_to_lex(m, 1)
     assert minors.verify_model(lifted).ok
     assert {frozenset(s) for s in lifted.branch_sets.values()} == {
         frozenset(s) for s in m.branch_sets.values()
@@ -101,8 +108,8 @@ def test_model_to_lex_k1_is_identity_up_to_labels():
 
 def test_project_model_cliquesum():
     k4a = graphs.complete_graph(4)
-    k4b = graphs.complete_graph(4).relabel(["a", "b", "c", "d"])
-    s, m1, m2 = graphs.clique_sum_with_embeddings(k4a, [0, 1, 2], k4b, [0, 1, 2])
+    k4b = graphs.from_edges(4, k4a.edges(), ["a", "b", "c", "d"])
+    s, m1, m2 = clique_sum_with_embeddings(k4a, [0, 1, 2], k4b, [0, 1, 2])
     # three joint vertices plus the private vertex of side b
     sets = {
         0: frozenset({0}),
@@ -112,20 +119,20 @@ def test_project_model_cliquesum():
     }
     model = MinorModel(s, graphs.complete_graph(4), sets, 1)
     assert minors.verify_model(model).ok
-    with pytest.raises(SideInvalid):
-        minors.project_model_cliquesum(model, k4a, m1)
-    side = minors.project_model_cliquesum(model, k4b, m2)
+    with pytest.raises(ValueError, match="branch set 3 avoids the chosen side"):
+        project_model_cliquesum(model, k4a, m1)
+    side = project_model_cliquesum(model, k4b, m2)
     assert minors.verify_model(side).ok
     assert side.branch_sets[3] == frozenset({3})
 
 
 def test_project_model_inside_one_side_is_unchanged():
     g1 = graphs.complete_graph(5)
-    g2 = graphs.complete_graph(3).relabel("xyz")
-    s, m1, _ = graphs.clique_sum_with_embeddings(g1, [0, 1], g2, [0, 1])
+    g2 = graphs.from_edges(3, graphs.complete_graph(3).edges(), "xyz")
+    s, m1, _ = clique_sum_with_embeddings(g1, [0, 1], g2, [0, 1])
     sets = {i: frozenset({i}) for i in range(5)}
     model = MinorModel(s, graphs.complete_graph(5), sets, 1)
-    side = minors.project_model_cliquesum(model, g1, m1)
+    side = project_model_cliquesum(model, g1, m1)
     assert side.branch_sets == sets
 
 
@@ -143,9 +150,9 @@ def test_compose_models():
 
 
 def test_hadwiger_oracle_known_values():
-    assert minors.hadwiger_oracle(graphs.complete_graph(5)) == 5
-    assert minors.hadwiger_oracle(graphs.cycle_graph(5)) == 3
-    assert minors.hadwiger_oracle(graphs.grid_graph(2)) == 3
+    assert minors.hadwiger_model(graphs.complete_graph(5))[0] == 5
+    assert minors.hadwiger_model(cycle_graph(5))[0] == 3
+    assert minors.hadwiger_model(graphs.grid_graph(2))[0] == 3
 
 
 def test_hadwiger_witness_verifies():
@@ -164,7 +171,7 @@ def test_hadwiger_oracle_matches_naive_on_petersen():
 
 def test_hadwiger_oracle_budget():
     with pytest.raises(BudgetExceeded):
-        minors.hadwiger_oracle(graphs.grid_graph(4))
+        minors.hadwiger_model(graphs.grid_graph(4))
 
 
 def gnp(n, p, rng):
@@ -190,7 +197,7 @@ def sparse_to_dense_graphs():
 def test_hadwiger_oracle_matches_naive_on_random_graphs():
     loose = disconnected = 0
     for g in sparse_to_dense_graphs():
-        eta = minors.hadwiger_oracle(g)
+        eta = minors.hadwiger_model(g)[0]
         assert eta == naive_eta(g)
         loose += eta < minors.min_degree_width(adj_masks(g)) + 1
         disconnected += not graphs.is_connected_subset(g, range(g.n))
@@ -207,7 +214,7 @@ PINNED_WITNESSES = {
         "01e4d80c1e760d5e5162bf746b306eee522167176ceb8c07747aacc70808e851",
     ),
     "c12": (
-        lambda: graphs.cycle_graph(12), 3,
+        lambda: cycle_graph(12), 3,
         "bd56d9b4b76dc704b5314dda16f9bbda760f82ffa241032cda95426c613f6fe6",
     ),
     "grid3": (
@@ -259,7 +266,7 @@ def test_hadwiger_witness_bytes_are_pinned_on_sparse_to_dense_graphs():
 def test_hadwiger_model_is_invariant_under_relabelling():
     rng = random.Random(0)
     g = gnp(12, 0.8, rng)
-    eta = minors.hadwiger_oracle(g)
+    eta = minors.hadwiger_model(g)[0]
     for _ in range(6):
         perm = list(range(g.n))
         rng.shuffle(perm)
@@ -278,7 +285,7 @@ def test_min_degree_width_known_values():
     tree = graphs.from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
     assert minors.min_degree_width(adj_masks(tree)) == 1
     for n in (3, 6, 12):
-        assert minors.min_degree_width(adj_masks(graphs.cycle_graph(n))) == 2
+        assert minors.min_degree_width(adj_masks(cycle_graph(n))) == 2
     for n in range(1, 8):
         assert minors.min_degree_width(adj_masks(graphs.complete_graph(n))) == n - 1
 
@@ -287,7 +294,7 @@ def test_treewidth_known_values():
     tree = graphs.from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
     assert minors.treewidth_oracle(tree) == 1
     assert minors.treewidth_oracle(graphs.complete_graph(5)) == 4
-    assert minors.treewidth_oracle(graphs.cycle_graph(6)) == 2
+    assert minors.treewidth_oracle(cycle_graph(6)) == 2
 
 
 def test_treewidth_l3_cross_checked():

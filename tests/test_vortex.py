@@ -189,7 +189,7 @@ def test_apex_raises_hadwiger_number_by_count():
     emb = embeddings.triangulation_catalog(4)
     base = emb.simple
     bare = AlmostEmbeddable(base=emb, params=(0, 0, 0, 0))
-    eta0 = minors.hadwiger_oracle(vortex.flatten(bare))
+    eta0 = minors.hadwiger_model(vortex.flatten(bare))[0]
     apexed = AlmostEmbeddable(
         base=emb,
         apex=("a1", "a2"),
@@ -201,5 +201,5 @@ def test_apex_raises_hadwiger_number_by_count():
         params=(0, 0, 0, 2),
     )
     assert vortex.validate_almost_embeddable(apexed).ok
-    assert minors.hadwiger_oracle(vortex.flatten(apexed)) == eta0 + 2
+    assert minors.hadwiger_model(vortex.flatten(apexed))[0] == eta0 + 2
 
