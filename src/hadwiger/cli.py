@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import sys
 
@@ -154,11 +155,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # looked up per call, not bound into the cached parser, so that a
-    # wrapper later put on a cmd_* function (a tracer's, say) is the one run
-    command = globals()[f"cmd_{args.command}"]
+    # the pipeline builds no reference cycles, so the cyclic collector would
+    # only re-walk the growing certificate heap: it is paused per command
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
+        # looked up per call, not bound into the cached parser, so that a
+        # wrapper later put on a cmd_* function (a tracer's, say) is the one run
+        command = globals()[f"cmd_{args.command}"]
         return command(args)
     except Unreadable as exc:
         print(exc, file=sys.stderr)
@@ -175,6 +180,9 @@ def main(argv=None) -> int:
     except HadwigerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

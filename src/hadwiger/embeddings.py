@@ -10,6 +10,7 @@ the vortex construction.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, NamedTuple, Sequence
@@ -249,7 +250,13 @@ def find_facial_cycle(emb: MultiEmbedding, cycle: Sequence[int]) -> FacialWalk:
 
 def _is_face(emb: MultiEmbedding, walk: FacialWalk) -> bool:
     """Whether `walk` is a facial walk of `emb` as `trace_faces` gives it:
-    the face through its own first dart-side.  Only that face is traced."""
+    one of the faces in the `emb.faces` cache, sorted by incidences, where at
+    most two faces share them (each edge has two sides); else the face
+    through its own first dart-side, the only face traced."""
+    faces = vars(emb).get("faces")
+    if faces is not None:
+        lo = bisect_left(faces, walk.incidences, key=lambda w: w.incidences)
+        return walk in faces[lo : lo + 2]
     if not walk.states:
         return False
     e, end, side = walk.states[0]

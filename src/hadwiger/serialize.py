@@ -9,10 +9,11 @@ Schemas:
   model        {"pattern_n": t, "sets": {"x": [host indices]}, "k": 1}
   certificate  {"structure": ..., "model": ..., "n": ..., "guarantee_expr": ...}
 
-Objects keyed by decimal strings may not name one index twice ("7" and
-"07"), and `labels` and `bags` hold one entry per vertex and per perimeter
-position.  A certificate's model is verified as a multiplicity-1 (classical)
-model, whatever its `k` declares.
+Index keys are spelt as `str(index)` ("7", not "07" or "+7") and name
+something (model `sets` keys < pattern_n; `signatures` and `edge_labels`
+keys in `edges`); `labels` and `bags` hold one entry per vertex and per
+perimeter position.  A certificate's model is verified as a multiplicity-1
+(classical) model, whatever its `k` declares.
 
 All output is key-sorted so identical inputs give byte-identical files.
 """
@@ -23,6 +24,9 @@ import json
 from . import graphs
 from .embeddings import EmbEdge, MultiEmbedding
 from .graphs import SimpleGraph, Split
+
+# built once, with no cycle check: each `*_to_json` tree is fresh and acyclic
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 # ---------------------------------------------------------------- field types
@@ -38,11 +42,11 @@ def _require(ok: bool, message: str):
 
 
 def _keyed(obj, what: str) -> dict:
-    """A JSON object keyed by integer strings, rekeyed by the integers; two
-    keys naming one integer, such as "7" and "07", are refused."""
+    """A JSON object keyed by integer strings, rekeyed by the integers; a key
+    that is not `str` of its integer, such as "07", "+4" or " 4", is refused."""
     _require(isinstance(obj, dict), f"{what} is not an object")
     out = {int(k): v for k, v in obj.items()}
-    _require(len(out) == len(obj), f"{what} names an index twice")
+    _require(obj.keys() == set(map(str, out)), f"{what} has a key not spelt as its index")
     return out
 
 
@@ -86,7 +90,7 @@ def label_from_json(obj):
 def graph_to_json(g: SimpleGraph) -> dict:
     return {
         "n": g.n,
-        "edges": [list(e) for e in g.edges()],
+        "edges": g.edges(),
         "labels": {str(i): label_to_json(lab) for i, lab in enumerate(g.labels)},
     }
 
@@ -125,8 +129,9 @@ def graph_to_dot(g: SimpleGraph, name: str = "G") -> str:
 def embedding_to_json(emb: MultiEmbedding) -> dict:
     return {
         "vertices": {str(v): label_to_json(lab) for v, lab in emb.vertex_labels.items()},
-        "edges": {str(e): list(edge.ends) for e, edge in emb.edges.items()},
-        "rotations": {str(v): [list(d) for d in rot] for v, rot in emb.rotation.items()},
+        # tuples are written as arrays, so ends and darts go in uncopied
+        "edges": {str(e): edge.ends for e, edge in emb.edges.items()},
+        "rotations": {str(v): rot for v, rot in emb.rotation.items()},
         "signatures": {str(e): edge.sign for e, edge in emb.edges.items() if edge.sign != 1},
         "edge_labels": {
             str(e): label_to_json(edge.label)
@@ -137,15 +142,17 @@ def embedding_to_json(emb: MultiEmbedding) -> dict:
 
 
 def embedding_from_json(obj: dict) -> MultiEmbedding:
+    ends = _keyed(obj["edges"], "embedding edges")
     signatures = _keyed(obj.get("signatures", {}), "embedding signatures")
-    edge_labels = {
-        e: label_from_json(lab)
-        for e, lab in _keyed(obj.get("edge_labels", {}), "embedding edge_labels").items()
-    }
+    edge_labels = _keyed(obj.get("edge_labels", {}), "embedding edge_labels")
+    _require(
+        signatures.keys() | edge_labels.keys() <= ends.keys(), "signatures or edge_labels name no edge"
+    )
+    edge_labels = {e: label_from_json(lab) for e, lab in edge_labels.items()}
     # unpacking rejects an edge or a dart that is not a pair
     edges = {
         e: EmbEdge(e, (u, v), signatures.get(e, 1), edge_labels.get(e))
-        for e, (u, v) in _keyed(obj["edges"], "embedding edges").items()
+        for e, (u, v) in ends.items()
     }
     labels = {
         v: label_from_json(lab) for v, lab in _keyed(obj["vertices"], "embedding vertices").items()
@@ -160,14 +167,19 @@ def embedding_from_json(obj: dict) -> MultiEmbedding:
 # ---------------------------------------------------------------- vortices
 
 def vortex_to_json(v) -> dict:
-    # each bag label's encoding and sort key, once per vortex
-    code = {lab: label_to_json(lab) for lab in set().union(*v.bags)}
-    key = {lab: json.dumps(c) for lab, c in code.items()}
+    graph = graph_to_json(v.graph)
+    # one encoding per label, bag labels outside the graph included (a loaded
+    # certificate may hold them), and one rank per label in JSON-text order
+    code = dict(zip(v.graph.labels, graph["labels"].values()))
+    outside = set(v.perimeter).union(*v.bags).difference(code)
+    code.update((lab, label_to_json(lab)) for lab in outside)
+    order = sorted(code, key=lambda lab: _ENCODER.encode(code[lab]))
+    rank = {lab: r for r, lab in enumerate(order)}
     return {
-        "graph": graph_to_json(v.graph),
-        "perimeter": [label_to_json(lab) for lab in v.perimeter],
+        "graph": graph,
+        "perimeter": [code[lab] for lab in v.perimeter],
         "bags": {
-            str(pos): [code[lab] for lab in sorted(bag, key=key.__getitem__)]
+            str(pos): [code[lab] for lab in sorted(bag, key=rank.__getitem__)]
             for pos, bag in enumerate(v.bags)
         },
     }
@@ -197,14 +209,10 @@ def structure_to_json(a) -> dict:
     return {
         "base": embedding_to_json(a.base),
         "vortices": [vortex_to_json(v) for v in a.vortices],
-        "disc_faces": [
-            [list(inc) for inc in walk.incidences] for walk in a.disc_faces
-        ],
+        "disc_faces": [walk.incidences for walk in a.disc_faces],
         "apex": [label_to_json(lab) for lab in a.apex],
-        "apex_edges": [
-            [label_to_json(x), label_to_json(y)] for x, y in a.apex_edges
-        ],
-        "params": list(a.params),
+        "apex_edges": [[label_to_json(x), label_to_json(y)] for x, y in a.apex_edges],
+        "params": a.params,
     }
 
 
@@ -250,14 +258,12 @@ def structure_from_json(obj: dict):
 def model_to_json(model) -> dict:
     obj = {
         "pattern_n": model.pattern.n,
-        "sets": {
-            str(x): sorted(s) for x, s in model.branch_sets.items()
-        },
+        "sets": {str(x): sorted(s) for x, s in model.branch_sets.items()},
         "k": model.multiplicity,
     }
     complete = model.pattern.m == model.pattern.n * (model.pattern.n - 1) // 2
     if not complete:
-        obj["pattern_edges"] = [list(e) for e in model.pattern.edges()]
+        obj["pattern_edges"] = model.pattern.edges()
     return obj
 
 
@@ -270,14 +276,12 @@ def model_from_json(obj: dict, host: SimpleGraph):
     _require(0 <= t <= host.n, f"model pattern_n is outside 0..{host.n}")
     _require(_is_int(obj.get("k", 1)), "model k is not an integer")
     _require(
-        isinstance(obj["sets"], dict) and all(
-            isinstance(x, str) and x.isdecimal()
-            and isinstance(s, list) and all(map(_is_int, s))
-            for x, s in obj["sets"].items()
-        ),
-        "model sets is not an object of integer lists keyed by decimal strings",
+        isinstance(obj["sets"], dict)
+        and all(isinstance(s, list) and all(map(_is_int, s)) for s in obj["sets"].values()),
+        "model sets is not an object of integer lists",
     )
     sets = {x: frozenset(s) for x, s in _keyed(obj["sets"], "model sets").items()}
+    _require(sets.keys() <= set(range(t)), f"model sets has a key outside 0..{t - 1}")
     if "pattern_edges" in obj:
         pattern = graphs.from_edges(t, [tuple(e) for e in obj["pattern_edges"]])
     else:
@@ -317,4 +321,4 @@ def certificate_from_json(obj: dict):
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(obj) + "\n"

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -25,6 +26,71 @@ def test_main_runs_the_current_command_function(monkeypatch, capsys):
     assert run(["bounds", "--g", "0"], capsys)[0] == 0
     monkeypatch.setattr(cli, "cmd_bounds", lambda args: 7)
     assert run(["bounds", "--g", "0"], capsys)[0] == 7
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, collector, enabled):
+    cert, failing, big = tmp_path / "cert.json", tmp_path / "failing.json", tmp_path / "big.json"
+    run(["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(cert)], capsys)
+    obj = json.loads(cert.read_text())
+    obj["model"]["sets"]["0"] = obj["model"]["sets"]["1"]
+    failing.write_text(json.dumps(obj))
+    big.write_text(serialize.dumps(serialize.graph_to_json(graphs.grid_graph(5))))
+    exits = {
+        0: ["verify", str(cert)],
+        1: ["verify", str(failing)],
+        2: ["construct", "--g", "0", "--p", "1", "--k", "1"],
+        3: ["construct", "--g", "7", "--p", "1", "--k", "2"],
+        4: ["eta", str(big)],
+    }
+    (gc.enable if enabled else gc.disable)()
+    for code, argv in exits.items():
+        assert run(argv, capsys)[0] == code
+        assert gc.isenabled() is enabled
+    with pytest.raises(SystemExit):
+        main(["construct"])
+    assert gc.isenabled() is enabled
+    # a tree the encoder cannot write escapes, and nothing is written
+    cyclic = {"a": []}
+    cyclic["a"].append(cyclic)
+    monkeypatch.setattr(serialize, "certificate_to_json", lambda cert: cyclic)
+    out = tmp_path / "never.json"
+    with pytest.raises(RecursionError):
+        main(["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(out)])
+    assert not out.exists()
+    assert gc.isenabled() is enabled
+    # and inside the command the collector is paused
+    monkeypatch.setattr(cli, "cmd_bounds", lambda args: 7 if gc.isenabled() else 0)
+    assert run(["bounds", "--g", "0"], capsys)[0] == 0
+    assert gc.isenabled() is enabled
+
+
+def test_cyclic_garbage_does_not_grow_with_the_certificate(tmp_path, capsys, collector):
+    # with the collector paused, what a construct and a verify leave for it
+    # is the same at a small and at a large point, so a command holds no
+    # more memory than it would with the collector running
+    def garbage(point):
+        cert = tmp_path / f"{point}.json"
+        argv = ["construct", *(x for flag, v in zip(("--g", "--p", "--k", "--a"), point) for x in (flag, str(v)))]
+        gc.collect()
+        assert run([*argv, "--out", str(cert)], capsys)[0] == 0
+        built = gc.collect()
+        assert run(["verify", str(cert)], capsys)[0] == 0
+        return built, gc.collect()
+
+    gc.disable()
+    small, large = (0, 1, 2, 1), (0, 4, 4, 0)
+    for point in (small, large):
+        garbage(point)  # builds the parser and the other per-process caches
+    assert garbage(small) == garbage(large)
 
 
 def test_construct_small(tmp_path, capsys):
@@ -244,6 +310,15 @@ WRONG_TYPES = {
     "sets-key-alias": (["model", "sets", "00"], lambda sets: sets["0"]),
     "edge-labels-key-alias": (["structure", "base", "edge_labels", "07"], [1, 1]),
     "bags-extra-key": (["structure", "vortices", 0, "bags", "999"], []),
+    # accepted once as another spelling of the key they replace
+    "edge-labels-key-zero-padded": (["structure", "base", "edge_labels", "07"], lambda labels: labels.pop("7")),
+    "vertices-key-plus": (["structure", "base", "vertices", "+4"], lambda vertices: vertices.pop("4")),
+    "vertices-key-space": (["structure", "base", "vertices", " 4"], lambda vertices: vertices.pop("4")),
+    "edges-key-underscore": (["structure", "base", "edges", "1_0"], lambda edges: edges.pop("10")),
+    # accepted once, naming nothing, and never read
+    "sets-key-past-pattern": (["model", "sets", "5"], [0]),
+    "signatures-key-unknown-edge": (["structure", "base", "signatures", "999"], -1),
+    "edge-labels-key-unknown-edge": (["structure", "base", "edge_labels", "999"], [1, 1]),
 }
 
 

@@ -192,6 +192,33 @@ def test_split_at_faces_rejects_walks_that_are_not_faces():
             split_at_faces(emb, [walk])
 
 
+def test_is_face_answers_alike_from_the_cached_faces():
+    # each walk judged by tracing the face through its first dart-side, and
+    # by looking among the faces that `emb.faces` has traced and cached
+    cases = [
+        k4_embedding(),
+        multiply_edges(k4_embedding(), 2),
+        grid_embedding(3),
+        triangulation_catalog(6),
+        embedding_from_neighbors(3, [[1, 2], [2, 0], [0, 1]]),
+    ]
+    for cached in cases:
+        fresh = MultiEmbedding(cached.vertex_labels, cached.edges, cached.rotation)
+        walks = [FacialWalk((), ()), FacialWalk(((10**6, 0, 1),), ((0, 10**6),))]
+        for w in cached.faces:
+            walks += [
+                w,
+                FacialWalk(w.states[1:] + w.states[:1], w.incidences[1:] + w.incidences[:1]),
+                # the same incidences on the other sides
+                FacialWalk(tuple((e, end, -side) for e, end, side in w.states), w.incidences),
+                FacialWalk(w.states[::-1], w.incidences[::-1]),
+            ]
+        traced = [embeddings._is_face(fresh, w) for w in walks]
+        assert "faces" not in vars(fresh)
+        assert [embeddings._is_face(cached, w) for w in walks] == traced
+        assert all(traced[2::4])
+
+
 def test_underlying_simple_collapses_copies():
     big = multiply_edges(k4_embedding(), 3)
     simple = big.simple

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -166,3 +167,97 @@ def test_vortex_round_trip():
     assert back.perimeter == v.perimeter
     assert back.bags == v.bags
     assert vortex.validate_circular(back).ok
+
+
+def reference_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def reference_graph(g):
+    return {
+        "n": g.n,
+        "edges": [list(e) for e in g.edges()],
+        "labels": {str(i): recursive_label_to_json(lab) for i, lab in enumerate(g.labels)},
+    }
+
+
+def reference_vortex(v):
+    """A vortex as the format defines it: every label encoded where it
+    occurs, and each bag in the order of its labels' `json.dumps` text."""
+    return {
+        "graph": reference_graph(v.graph),
+        "perimeter": [recursive_label_to_json(lab) for lab in v.perimeter],
+        "bags": {
+            str(pos): sorted(map(recursive_label_to_json, bag), key=json.dumps)
+            for pos, bag in enumerate(v.bags)
+        },
+    }
+
+
+def reference_certificate(cert):
+    a, enc = cert.structure, recursive_label_to_json
+    emb, model = a.base, cert.model
+    obj = {
+        "structure": {
+            "base": {
+                "vertices": {str(v): enc(lab) for v, lab in emb.vertex_labels.items()},
+                "edges": {str(e): list(edge.ends) for e, edge in emb.edges.items()},
+                "rotations": {str(v): [list(d) for d in rot] for v, rot in emb.rotation.items()},
+                "signatures": {str(e): edge.sign for e, edge in emb.edges.items() if edge.sign != 1},
+                "edge_labels": {
+                    str(e): enc(edge.label) for e, edge in emb.edges.items() if edge.label is not None
+                },
+            },
+            "vortices": [reference_vortex(v) for v in a.vortices],
+            "disc_faces": [[list(inc) for inc in walk.incidences] for walk in a.disc_faces],
+            "apex": [enc(lab) for lab in a.apex],
+            "apex_edges": [[enc(x), enc(y)] for x, y in a.apex_edges],
+            "params": list(a.params),
+        },
+        "model": {
+            "pattern_n": model.pattern.n,
+            "sets": {str(x): sorted(s) for x, s in model.branch_sets.items()},
+            "k": model.multiplicity,
+        },
+        "n": cert.target,
+        "guarantee_expr": str(cert.guarantee),
+        "guarantee_float": float(cert.guarantee),
+    }
+    assert model.pattern.m == model.pattern.n * (model.pattern.n - 1) // 2
+    return obj
+
+
+def test_certificates_match_the_reference_writer():
+    from test_acceptance import GRID, grid_certificate
+
+    for point in GRID:
+        cert = grid_certificate(*point)
+        text = serialize.dumps(serialize.certificate_to_json(cert))
+        assert text == reference_dumps(reference_certificate(cert)), point
+
+
+def test_vortex_of_mixed_labels_matches_the_reference_writer():
+    # ints, strings, nested tuples and splits with multi-digit members, where
+    # JSON-text order is not numeric order: [[1,10],1] sorts before [[1,1],1]
+    labels = (10, 9, "ab", "a", (1, 10), ((1, 10), 1), ((1, 1), 1), Split((1, 1), 12), Split(4, 2), (2, (3, "x")))
+    graph = graphs.from_edges(len(labels), [(i, i + 1) for i in range(len(labels) - 1)], labels)
+    perimeter = (((1, 10), 1), 10, Split(4, 2), "outside")
+    bags = (
+        frozenset(labels[:6]) | {"outside"},
+        frozenset([10, ((1, 1), 1), ((1, 10), 1), Split((1, 1), 12)]),
+        frozenset([Split(4, 2), Split((1, 1), 2), (1, 1), 100]),
+        frozenset(["outside", "ab", (2, (3, "x"))]),
+    )
+    v = vortex.Vortex(graph, perimeter, bags)
+    text = serialize.dumps(serialize.vortex_to_json(v))
+    assert text == reference_dumps(reference_vortex(v))
+    bag = json.loads(text)["bags"]["1"]
+    assert bag.index([[1, 10], 1]) < bag.index([[1, 1], 1])
+    assert json.loads(text)["bags"]["2"][0] == 100
+
+
+def test_dumps_still_refuses_a_cyclic_tree():
+    obj = {"a": []}
+    obj["a"].append(obj)
+    with pytest.raises(RecursionError):
+        serialize.dumps(obj)
