@@ -250,12 +250,13 @@ def lower_guarantee(g: int, p: int, k: int, a: int) -> BoundValue:
     return BoundValue.of(a, (p + g, Fraction(k, 4)))
 
 
-def sandwich_check(cert, g: int, p: int, k: int, a: int) -> Report:
-    """Two-sided check of a construction certificate: the guaranteed lower
-    bound is met, and the certified order stays below the upper bound."""
+def sandwich_check(cert) -> Report:
+    """Two-sided check of a construction certificate: its guaranteed lower
+    bound is met, and the certified order stays below the upper bound of
+    its declared class."""
     rep = Report()
-    lower = lower_guarantee(g, p, k, a)
-    upper = full_upper(g, p, k, a)
+    lower = cert.guarantee
+    upper = full_upper(*cert.structure.params)
     rep.add(
         "lower-guarantee-met",
         lower <= cert.target,

@@ -72,8 +72,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     cert = _load(args.certificate, serialize.certificate_from_json, "certificate")
     rep = constructions.verify_certificate(cert)
-    g, p, k, a = cert.structure.params
-    rep.extend(bounds.sandwich_check(cert, g, p, k, a), prefix="sandwich-")
+    rep.extend(bounds.sandwich_check(cert), prefix="sandwich-")
     print(serialize.dumps({"ok": rep.ok, "checks": rep.to_json()}), end="")
     return EXIT_OK if rep.ok else EXIT_VERIFY
 

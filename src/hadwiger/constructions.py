@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from . import bounds, embeddings, graphs, minors, vortex
@@ -28,13 +29,17 @@ from .vortex import AlmostEmbeddable, Vortex
 
 @dataclass(frozen=True)
 class ConstructionCertificate:
-    """A structure, the order of the complete minor exhibited in it, the
-    witness model, and the construction's exact lower-bound guarantee."""
+    """A structure, the order of the complete minor exhibited in it, and
+    the witness model."""
 
     structure: AlmostEmbeddable
     target: int
     model: MinorModel
-    guarantee: bounds.BoundValue
+
+    @cached_property
+    def guarantee(self) -> bounds.BoundValue:
+        """The exact lower bound a + k*sqrt(p+g)/4 of the declared class."""
+        return bounds.lower_guarantee(*self.structure.params)
 
 
 def verify_certificate(cert: ConstructionCertificate) -> Report:
@@ -78,8 +83,7 @@ def construct_vortex_graph(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    face_vertex_sets = [set(w.vertices) for w in faces]
-    covered = set().union(*face_vertex_sets) if faces else set()
+    covered = set().union(*(w.vertices for w in faces))
     uncovered = set(emb.vertex_labels) - covered
     if uncovered:
         raise FacesDontCoverVertices(f"vertices {sorted(uncovered)} lie on no face")
@@ -103,28 +107,20 @@ def construct_vortex_graph(
     vortices = []
     # the non-apex labels in flatten's order: the base, then each vortex's hubs
     labels = list(h0.simple.labels)
-    for walk, face_set in zip(disc_faces, face_vertex_sets):
+    for walk in disc_faces:
         perimeter = tuple(h0.vertex_labels[v] for v in walk.vertices)
+        t = len(perimeter)
         owners = [embeddings.owner_label(lab) for lab in perimeter]
-        face_labels = sorted(
-            (emb.vertex_labels[v] for v in face_set), key=graphs.label_sort_key
-        )
-        hub = {v: [(v, i) for i in range(1, k + 1)] for v in face_labels}
-        hubs = [h for v in face_labels for h in hub[v]]
+        face_labels = sorted(set(owners), key=graphs.label_sort_key)
+        # the hubs follow the perimeter, k per face vertex in face-label
+        # order; bag pos holds pos and the k hubs of its owner
+        hubs = [(v, i) for v in face_labels for i in range(1, k + 1)]
         labels.extend(hubs)
-        vertex_labels = list(perimeter) + hubs
-        index = {lab: t for t, lab in enumerate(vertex_labels)}
-        edges = []
-        for pos, x in enumerate(perimeter):
-            edges.extend((index[x], index[h]) for h in hub[owners[pos]])
-        for v in face_labels:
-            edges.extend(
-                (index[a], index[b]) for a, b in combinations(hub[v], 2)
-            )
-        graph = graphs.from_edges(len(vertex_labels), sorted(set(edges)), tuple(vertex_labels))
-        bags = tuple(
-            frozenset({x} | set(hub[owners[pos]])) for pos, x in enumerate(perimeter)
-        )
+        firsts = [t + k * face_labels.index(owner) for owner in owners]
+        bags = tuple(frozenset((pos, *range(f, f + k))) for pos, f in enumerate(firsts))
+        # the vortex graph is the union of the bags' cliques
+        cliques = {e for bag in bags for e in combinations(sorted(bag), 2)}
+        graph = graphs.from_edges(t + len(hubs), cliques, perimeter + tuple(hubs))
         vortices.append(Vortex(graph, perimeter, bags))
 
     apex = tuple(("apex", j) for j in range(1, params[3] + 1))
@@ -183,7 +179,7 @@ def grid_model(n: int, k: int) -> MinorModel:
 
 def _certificate(structure: AlmostEmbeddable, model: MinorModel) -> ConstructionCertificate:
     """The certificate of a family's complete minor `model` plus one
-    singleton branch set per apex, with the guarantee of the declared class."""
+    singleton branch set per apex."""
     host = structure.host
     n = model.pattern.n
     sets = dict(model.branch_sets)
@@ -193,7 +189,6 @@ def _certificate(structure: AlmostEmbeddable, model: MinorModel) -> Construction
         structure=structure,
         target=target,
         model=MinorModel(host, graphs.complete_graph(target), sets, 1),
-        guarantee=bounds.lower_guarantee(*structure.params),
     )
 
 

@@ -12,7 +12,8 @@ Schemas:
 Index keys are spelt as `str(index)` ("7", not "07" or "+7") and name
 something (model `sets` keys < pattern_n; `signatures` and `edge_labels`
 keys in `edges`); `labels` and `bags` hold one entry per vertex and per
-perimeter position.  A certificate's model is verified as a multiplicity-1
+perimeter position, and a bag entry is the label of a vertex of its vortex
+graph.  A certificate's model is verified as a multiplicity-1
 (classical) model, whatever its `k` declares.
 
 All output is key-sorted so identical inputs give byte-identical files.
@@ -168,18 +169,14 @@ def embedding_from_json(obj: dict) -> MultiEmbedding:
 
 def vortex_to_json(v) -> dict:
     graph = graph_to_json(v.graph)
-    # one encoding per label, bag labels outside the graph included (a loaded
-    # certificate may hold them), and one rank per label in JSON-text order
-    code = dict(zip(v.graph.labels, graph["labels"].values()))
-    outside = set(v.perimeter).union(*v.bags).difference(code)
-    code.update((lab, label_to_json(lab)) for lab in outside)
-    order = sorted(code, key=lambda lab: _ENCODER.encode(code[lab]))
-    rank = {lab: r for r, lab in enumerate(order)}
+    codes = list(graph["labels"].values())
+    # each bag in the JSON-text order of its labels, one text per vertex
+    texts = [_ENCODER.encode(code) for code in codes]
     return {
         "graph": graph,
-        "perimeter": [code[lab] for lab in v.perimeter],
+        "perimeter": [label_to_json(lab) for lab in v.perimeter],
         "bags": {
-            str(pos): [code[lab] for lab in sorted(bag, key=rank.__getitem__)]
+            str(pos): [codes[u] for u in sorted(bag, key=texts.__getitem__)]
             for pos, bag in enumerate(v.bags)
         },
     }
@@ -198,10 +195,12 @@ def vortex_from_json(obj: dict):
     graph = graph_from_json(obj["graph"])
     perimeter = tuple(label_from_json(x) for x in obj["perimeter"])
     _require(len(obj["bags"]) == len(perimeter), "vortex bags do not match its perimeter")
+    index = graph.label_index
     bags = tuple(
-        frozenset(label_from_json(x) for x in obj["bags"][str(pos)])
+        frozenset(index.get(label_from_json(x)) for x in obj["bags"][str(pos)])
         for pos in range(len(perimeter))
     )
+    _require(not any(None in bag for bag in bags), "a vortex bag entry names no vertex of its graph")
     return Vortex(graph, perimeter, bags)
 
 
@@ -228,6 +227,8 @@ def structure_from_json(obj: dict):
         isinstance(params, list) and len(params) == 4 and all(map(_is_int, params)),
         "params is not a list of 4 integers",
     )
+    # the certificate derives its guarantee from them
+    _require(min(params) >= 0, "params has a negative entry")
     base = embedding_from_json(obj["base"])
     by_incidence = {w.incidences: w for w in base.faces}
     faces = obj["disc_faces"]
@@ -302,22 +303,16 @@ def certificate_to_json(cert) -> dict:
 
 
 def certificate_from_json(obj: dict):
-    """The guarantee is recomputed from the declared params; `guarantee_expr`
+    """The guarantee is derived from the declared params; `guarantee_expr`
     must be present but, like `guarantee_float`, is display-only and never
     parsed."""
-    from .bounds import lower_guarantee
     from .constructions import ConstructionCertificate
 
     _require(_is_int(obj["n"]), "n is not an integer")
     structure = structure_from_json(obj["structure"])
     model = model_from_json(obj["model"], structure.host)
     _require("guarantee_expr" in obj, "guarantee_expr is missing")
-    return ConstructionCertificate(
-        structure=structure,
-        target=obj["n"],
-        model=model,
-        guarantee=lower_guarantee(*structure.params),
-    )
+    return ConstructionCertificate(structure=structure, target=obj["n"], model=model)
 
 
 def dumps(obj: dict) -> str:

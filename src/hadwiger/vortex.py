@@ -23,8 +23,9 @@ class Vortex:
     """Graph with a circular decomposition.
 
     `bags` is aligned with `perimeter` by position (the bag family is a
-    multiset keyed by perimeter position; equal bags may repeat).  All
-    cross-references are by vertex label.
+    multiset keyed by perimeter position; equal bags may repeat).  A bag is
+    a set of vertex indices of `graph`, refused at construction if one lies
+    outside 0..n-1; the perimeter names base vertices, so it holds labels.
     """
 
     graph: SimpleGraph
@@ -36,6 +37,8 @@ class Vortex:
             raise ValueError("one bag per perimeter position required")
         if len(set(self.perimeter)) != len(self.perimeter):
             raise ValueError("perimeter repeats a vertex")
+        if not frozenset().union(*self.bags).issubset(range(self.graph.n)):
+            raise ValueError(f"a bag holds an index outside 0..{self.graph.n - 1}")
 
 
 def validate_circular(v: Vortex) -> Report:
@@ -49,16 +52,14 @@ def validate_circular(v: Vortex) -> Report:
     missing = [w for w in perim if w not in index]
     rep.add("perimeter-in-graph", not missing, missing or None)
 
-    bad1 = [perim[i] for i in range(t) if perim[i] not in v.bags[i]]
+    bad1 = [perim[i] for i in range(t) if index.get(perim[i]) not in v.bags[i]]
     rep.add("property-1-own-bag", not bad1, bad1 or None)
 
     # vertex -> ascending positions of the bags holding it
     positions: list[list[int]] = [[] for _ in range(graph.n)]
     for i, bag in enumerate(v.bags):
-        for lab in bag:
-            u = index.get(lab)
-            if u is not None:
-                positions[u].append(i)
+        for u in bag:
+            positions[u].append(i)
 
     # witnesses in vertex order, which no hash seed can change
     on_perimeter = set(perim)
@@ -156,12 +157,12 @@ def validate_almost_embeddable(a: AlmostEmbeddable) -> Report:
     disjoint_ok = True
     witness = None
     for i, v in enumerate(a.vortices):
-        overlap = seen & set(v.graph.labels)
+        overlap = v.graph.label_index.keys() & seen
         if overlap:
             disjoint_ok = False
             witness = (i, sorted(overlap, key=graphs.label_sort_key))
             break
-        seen |= set(v.graph.labels)
+        seen.update(v.graph.label_index)
     rep.add("vortices-disjoint", disjoint_ok, witness)
 
     for i, (v, face) in enumerate(zip(a.vortices, a.disc_faces)):
@@ -173,7 +174,7 @@ def validate_almost_embeddable(a: AlmostEmbeddable) -> Report:
         else:
             rep.add(f"vortex-{i}-width", False, str(sub.failures[0]))
 
-        shared = set(v.graph.labels) & base_labels
+        shared = v.graph.label_index.keys() & base_labels
         rep.add(
             f"vortex-{i}-meets-base-in-perimeter",
             shared == set(v.perimeter),
@@ -189,9 +190,7 @@ def validate_almost_embeddable(a: AlmostEmbeddable) -> Report:
         )
 
     apex_set = set(a.apex)
-    non_apex = base_labels | set().union(
-        *(set(v.graph.labels) for v in a.vortices), set()
-    )
+    non_apex = base_labels.union(*(v.graph.label_index.keys() for v in a.vortices))
     bad_apex_edges = [
         e for e in a.apex_edges if not any(x in apex_set for x in e)
         or not all(x in apex_set or x in non_apex for x in e)

@@ -97,7 +97,7 @@ def test_grid_certificates_are_pinned():
 def test_criterion_04_sandwich():
     for g, p, k, a in GRID:
         cert = grid_certificate(g, p, k, a)
-        rep = bounds.sandwich_check(cert, g, p, k, a)
+        rep = bounds.sandwich_check(cert)
         assert rep.ok, ((g, p, k, a), str(rep.failures))
         assert bounds.full_upper(g, p, k, a) >= cert.target, (g, p, k, a)
 
@@ -209,12 +209,12 @@ def test_criterion_09_mutation_rejection():
             if rng.random() < 0.5:
                 # perimeter vertex evicted from its own bag
                 bags = list(v.bags)
-                bags[pos] = bags[pos] - {v.perimeter[pos]}
+                bags[pos] = bags[pos] - {v.graph.index_of(v.perimeter[pos])}
                 mutated = vortex.Vortex(v.graph, v.perimeter, tuple(bags))
             else:
                 # hub evicted: its unique covering bag loses a vortex edge
                 bags = list(v.bags)
-                bags[pos] = frozenset({v.perimeter[pos]})
+                bags[pos] = frozenset({v.graph.index_of(v.perimeter[pos])})
                 mutated = vortex.Vortex(v.graph, v.perimeter, tuple(bags))
             rep = vortex.validate_circular(mutated)
             assert not rep.ok and rep.failures[0].witness is not None

@@ -90,7 +90,7 @@ def test_rejects_negative_input():
 
 def test_sandwich_check_small_instance():
     cert = constructions.with_apex(0, 1, 2, 0)
-    rep = bounds.sandwich_check(cert, 0, 1, 2, 0)
+    rep = bounds.sandwich_check(cert)
     assert rep.ok
     names = {c.name for c in rep.checks}
     assert "lower-guarantee-met" in names
@@ -98,7 +98,7 @@ def test_sandwich_check_small_instance():
 
 def test_sandwich_check_large_instance_skips_oracle():
     cert = constructions.with_apex(2, 1, 2, 0)
-    rep = bounds.sandwich_check(cert, 2, 1, 2, 0)
+    rep = bounds.sandwich_check(cert)
     assert rep.ok
     assert any(c.name == "certificate-below-upper" for c in rep.checks)
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 
@@ -326,6 +327,7 @@ WRONG_TYPES = {
 BAD_SHAPES = {
     "vortex-edge-out-of-range": (["structure", "vortices", 0, "graph", "edges", 0], [0, 10**6]),
     "vortex-n-negative": (["structure", "vortices", 0, "graph", "n"], -3),
+    "params-negative": (["structure", "params", 2], -1),
     "vortex-n-too-small": (["structure", "vortices", 0, "graph", "n"], 2),
     "pattern-edge-out-of-range": (["model", "pattern_edges"], [[0, 10**6]]),
     "base-edge-one-end": (["structure", "base", "edges", "0"], [0]),
@@ -462,6 +464,20 @@ def test_verify_rejects_vortex_graph_without_a_label_per_vertex(tmp_path, capsys
     assert done.returncode == 2
     assert done.stdout == ""
     assert "one label per vertex" in done.stderr
+
+
+def test_verify_refuses_a_bag_entry_that_names_no_vertex(tmp_path, capsys):
+    # the declared k is raised with the bag, so only the entry is at fault
+    cert = tmp_path / "cert.json"
+    run(["construct", "--g", "1", "--p", "1", "--k", "2", "--out", str(cert)], capsys)
+    obj = json.loads(cert.read_text())
+    obj["structure"]["params"][2] = 3
+    obj["structure"]["vortices"][0]["bags"]["0"].append({"str": "nowhere"})
+    cert.write_text(json.dumps(obj))
+    code, out, err = run(["verify", str(cert)], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    assert "names no vertex of its graph" in err
 
 
 # Nested deeper than decoding can recurse: the whole file, or a label in it.
@@ -665,3 +681,21 @@ def test_verify_failure_report_pinned(tmp_path, capsys, case):
     code, out, err = run(["verify", str(cert)], capsys)
     assert (code, err) == (1, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ------------------------------------------------------------ README
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    # every line of the sh block under "## CLI", in order, in one directory
+    # that holds a small graph.json
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as f:
+        section = f.read().split("\n## CLI\n", 1)[1]
+    lines = section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    assert lines
+    (tmp_path / "graph.json").write_text(serialize.dumps(serialize.graph_to_json(graphs.complete_graph(4))))
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        prog, *argv = shlex.split(line)
+        assert prog == "hadwiger", line
+        assert run(argv, capsys)[0] == 0, line

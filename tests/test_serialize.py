@@ -183,12 +183,13 @@ def reference_graph(g):
 
 def reference_vortex(v):
     """A vortex as the format defines it: every label encoded where it
-    occurs, and each bag in the order of its labels' `json.dumps` text."""
+    occurs, and each bag as the labels of its vertices, in the order of
+    their `json.dumps` text."""
     return {
         "graph": reference_graph(v.graph),
         "perimeter": [recursive_label_to_json(lab) for lab in v.perimeter],
         "bags": {
-            str(pos): sorted(map(recursive_label_to_json, bag), key=json.dumps)
+            str(pos): sorted((recursive_label_to_json(v.graph.labels[u]) for u in bag), key=json.dumps)
             for pos, bag in enumerate(v.bags)
         },
     }
@@ -238,15 +239,22 @@ def test_certificates_match_the_reference_writer():
 
 def test_vortex_of_mixed_labels_matches_the_reference_writer():
     # ints, strings, nested tuples and splits with multi-digit members, where
-    # JSON-text order is not numeric order: [[1,10],1] sorts before [[1,1],1]
-    labels = (10, 9, "ab", "a", (1, 10), ((1, 10), 1), ((1, 1), 1), Split((1, 1), 12), Split(4, 2), (2, (3, "x")))
+    # JSON-text order is not numeric order: [[1,10],1] sorts before [[1,1],1];
+    # a label outside the graph only ever lies on the perimeter
+    labels = (
+        10, 9, "ab", "a", (1, 10), ((1, 10), 1), ((1, 1), 1), Split((1, 1), 12), Split(4, 2),
+        (2, (3, "x")), Split((1, 1), 2), (1, 1), 100,
+    )
     graph = graphs.from_edges(len(labels), [(i, i + 1) for i in range(len(labels) - 1)], labels)
     perimeter = (((1, 10), 1), 10, Split(4, 2), "outside")
-    bags = (
-        frozenset(labels[:6]) | {"outside"},
-        frozenset([10, ((1, 1), 1), ((1, 10), 1), Split((1, 1), 12)]),
-        frozenset([Split(4, 2), Split((1, 1), 2), (1, 1), 100]),
-        frozenset(["outside", "ab", (2, (3, "x"))]),
+    bags = tuple(
+        frozenset(map(graph.index_of, bag))
+        for bag in (
+            labels[:6],
+            [10, ((1, 1), 1), ((1, 10), 1), Split((1, 1), 12)],
+            [Split(4, 2), Split((1, 1), 2), (1, 1), 100],
+            ["ab", (2, (3, "x"))],
+        )
     )
     v = vortex.Vortex(graph, perimeter, bags)
     text = serialize.dumps(serialize.vortex_to_json(v))

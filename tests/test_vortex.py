@@ -7,18 +7,19 @@ from hadwiger.vortex import AlmostEmbeddable, Vortex
 
 def single_vertex_vortex():
     g = graphs.from_edges(1, [], ("w",))
-    return Vortex(g, ("w",), (frozenset({"w"}),))
+    return Vortex(g, ("w",), (frozenset({0}),))
 
 
 def path_vortex():
     """Perimeter a-b-c-d with one interior vertex x spanning b and c.
-    Perimeter edges live in the base graph, not in the vortex."""
+    Perimeter edges live in the base graph, not in the vortex.  Bags hold
+    vertex indices: a, b, c, d, x are 0, 1, 2, 3, 4."""
     g = graphs.from_edges(5, [(1, 4), (2, 4)], ("a", "b", "c", "d", "x"))
     bags = (
-        frozenset({"a"}),
-        frozenset({"b", "x"}),
-        frozenset({"c", "x"}),
-        frozenset({"d"}),
+        frozenset({0}),
+        frozenset({1, 4}),
+        frozenset({2, 4}),
+        frozenset({3}),
     )
     return Vortex(g, ("a", "b", "c", "d"), bags)
 
@@ -37,7 +38,7 @@ def test_validate_circular_passes():
 
 def test_missing_edge_cover_fails_property_3():
     v = path_vortex()
-    bad = Vortex(v.graph, v.perimeter, (v.bags[0], frozenset({"b"})) + v.bags[2:])
+    bad = Vortex(v.graph, v.perimeter, (v.bags[0], frozenset({1})) + v.bags[2:])
     rep = vortex.validate_circular(bad)
     failed = {c.name for c in rep.failures}
     assert "property-3-covers-edges" in failed
@@ -47,10 +48,10 @@ def test_nonconsecutive_occurrence_fails_property_4():
     v = path_vortex()
     # x lands in bags 1 and 3 but neither 0 nor 2
     bags = (
-        frozenset({"a"}),
-        frozenset({"b", "x"}),
-        frozenset({"c"}),
-        frozenset({"d", "x"}),
+        frozenset({0}),
+        frozenset({1, 4}),
+        frozenset({2}),
+        frozenset({3, 4}),
     )
     rep = vortex.validate_circular(Vortex(v.graph, v.perimeter, bags))
     assert not rep.ok
@@ -61,14 +62,21 @@ def test_wraparound_occurrence_is_consecutive():
     # x occupies bags 3 and 0, consecutive only through the wraparound
     g = graphs.from_edges(5, [(0, 4), (3, 4)], ("a", "b", "c", "d", "x"))
     bags = (
-        frozenset({"a", "x"}),
-        frozenset({"b"}),
-        frozenset({"c"}),
-        frozenset({"d", "x"}),
+        frozenset({0, 4}),
+        frozenset({1}),
+        frozenset({2}),
+        frozenset({3, 4}),
     )
     rep = vortex.validate_circular(Vortex(g, ("a", "b", "c", "d"), bags))
     assert rep.ok
     assert all(c.ok for c in rep.checks if c.name == "property-4-consecutive")
+
+
+@pytest.mark.parametrize("entry", [5, -1], ids=["n", "minus-one"])
+def test_bag_index_outside_the_graph_is_refused(entry):
+    v = path_vortex()
+    with pytest.raises(ValueError, match="outside 0..4"):
+        Vortex(v.graph, v.perimeter, (v.bags[0] | {entry},) + v.bags[1:])
 
 
 def test_width_raises_with_property_index():
@@ -139,7 +147,8 @@ def test_invalid_vortex_fails_width_with_first_circular_failure(monkeypatch):
 
     structure, _ = construction_structure()
     v = structure.vortices[0]
-    evicted = Vortex(v.graph, v.perimeter, (v.bags[0] - {v.perimeter[0]},) + v.bags[1:])
+    own = v.graph.index_of(v.perimeter[0])
+    evicted = Vortex(v.graph, v.perimeter, (v.bags[0] - {own},) + v.bags[1:])
     broken = dataclasses.replace(structure, vortices=(evicted,))
     first = vortex.validate_circular(evicted).failures[0]
     assert first.name == "property-1-own-bag"
