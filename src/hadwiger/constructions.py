@@ -93,16 +93,16 @@ def construct_vortex_graph(
     # The face on side +1 of an old dart is the face on side +1 of the last
     # dart of its copy block, and side -1 maps to the first block dart.
     blocks = embeddings.copy_blocks(emb, k)
-    images = []
+    starts = []
     for walk in faces:
         e, end, side = walk.states[0]
         block = blocks[(e, end)]
         ce, cend = block[-1] if side == 1 else block[0]
-        images.append(embeddings.face_through(multiplied, (ce, cend, side)))
+        starts.append((ce, cend, side))
 
-    h0 = embeddings.split_at_faces(multiplied, images)
-    # splitting keeps every state of a split face on that face
-    disc_faces = [embeddings.face_through(h0, img.states[0]) for img in images]
+    h0 = embeddings.split_at_faces(multiplied, starts)
+    # splitting keeps every dart-side of a split face on that face
+    disc_faces = [embeddings.face_through(h0, start) for start in starts]
 
     vortices = []
     # the non-apex labels in flatten's order: the base, then each vortex's hubs

@@ -250,35 +250,26 @@ def find_facial_cycle(emb: MultiEmbedding, cycle: Sequence[int]) -> FacialWalk:
 
 def _is_face(emb: MultiEmbedding, walk: FacialWalk) -> bool:
     """Whether `walk` is a facial walk of `emb` as `trace_faces` gives it:
-    one of the faces in the `emb.faces` cache, sorted by incidences, where at
-    most two faces share them (each edge has two sides); else the face
-    through its own first dart-side, the only face traced."""
-    faces = vars(emb).get("faces")
-    if faces is not None:
-        lo = bisect_left(faces, walk.incidences, key=lambda w: w.incidences)
-        return walk in faces[lo : lo + 2]
-    if not walk.states:
-        return False
-    e, end, side = walk.states[0]
-    if e not in emb.edges or end not in (0, 1) or side not in (1, -1):
-        return False
-    return face_through(emb, walk.states[0]) == walk
+    one of `emb.faces`, which are sorted by incidences, and at most two of
+    which share them (each edge has two sides)."""
+    faces = emb.faces
+    lo = bisect_left(faces, walk.incidences, key=lambda w: w.incidences)
+    return walk in faces[lo : lo + 2]
 
 
-def split_at_faces(
-    emb: MultiEmbedding, faces: Sequence[FacialWalk]
-) -> MultiEmbedding:
+def split_at_faces(emb: MultiEmbedding, starts: Sequence[tuple[int, int, int]]) -> MultiEmbedding:
     """Split every vertex of degree > 3 on each given face into a path of
     degree-<=3 vertices lying along that face.
 
-    The walks must be pairwise vertex-disjoint facial cycles of `emb`.  New
-    vertices are labeled Split(owner, i), i counted 1..d from the face corner.
-    Faces correspond one-to-one before and after.
+    Each face is named by one of its dart-sides (e, end, side) and traced
+    once with `face_through`; the faces must be pairwise vertex-disjoint
+    facial cycles.  New vertices are labeled Split(owner, i), i counted 1..d
+    from the face corner.  Faces correspond one-to-one before and after, and
+    a split face still carries every dart-side it had.
     """
+    faces = [face_through(emb, state) for state in starts]
     seen_vertices: set[int] = set()
     for w in faces:
-        if not _is_face(emb, w):
-            raise NotACycle("walk is not a facial walk of this embedding")
         if not w.is_cycle:
             raise NotACycle(f"facial walk {w.vertices} repeats a vertex")
         overlap = seen_vertices & set(w.vertices)

@@ -13,8 +13,9 @@ Index keys are spelt as `str(index)` ("7", not "07" or "+7") and name
 something (model `sets` keys < pattern_n; `signatures` and `edge_labels`
 keys in `edges`); `labels` and `bags` hold one entry per vertex and per
 perimeter position, and a bag entry is the label of a vertex of its vortex
-graph.  A certificate's model is verified as a multiplicity-1
-(classical) model, whatever its `k` declares.
+graph.  A model is always a model of the complete graph K_pattern_n, so it
+lists no pattern edges, and a certificate's model is verified as a
+multiplicity-1 (classical) model, whatever its `k` declares.
 
 All output is key-sorted so identical inputs give byte-identical files.
 """
@@ -257,15 +258,15 @@ def structure_from_json(obj: dict):
 # ---------------------------------------------------------------- models
 
 def model_to_json(model) -> dict:
-    obj = {
-        "pattern_n": model.pattern.n,
+    """A model of a complete pattern K_t, the only pattern written."""
+    t = model.pattern.n
+    if model.pattern.m != t * (t - 1) // 2:
+        raise ValueError("only a model of a complete graph is encoded")
+    return {
+        "pattern_n": t,
         "sets": {str(x): sorted(s) for x, s in model.branch_sets.items()},
         "k": model.multiplicity,
     }
-    complete = model.pattern.m == model.pattern.n * (model.pattern.n - 1) // 2
-    if not complete:
-        obj["pattern_edges"] = model.pattern.edges()
-    return obj
 
 
 def model_from_json(obj: dict, host: SimpleGraph):
@@ -273,8 +274,11 @@ def model_from_json(obj: dict, host: SimpleGraph):
 
     t = obj["pattern_n"]
     _require(_is_int(t), "model pattern_n is not an integer")
-    # before any pattern is built: a minor has at most as many vertices as its host
+    _require("pattern_edges" not in obj, "model pattern_edges is refused: the pattern is always complete")
+    # before K_t is built: its classical model has t disjoint branch sets and
+    # a host edge between each pair of them
     _require(0 <= t <= host.n, f"model pattern_n is outside 0..{host.n}")
+    _require(t * (t - 1) // 2 <= host.m, f"model pattern_n {t} needs more than the host's {host.m} edges")
     _require(_is_int(obj.get("k", 1)), "model k is not an integer")
     _require(
         isinstance(obj["sets"], dict)
@@ -283,11 +287,7 @@ def model_from_json(obj: dict, host: SimpleGraph):
     )
     sets = {x: frozenset(s) for x, s in _keyed(obj["sets"], "model sets").items()}
     _require(sets.keys() <= set(range(t)), f"model sets has a key outside 0..{t - 1}")
-    if "pattern_edges" in obj:
-        pattern = graphs.from_edges(t, [tuple(e) for e in obj["pattern_edges"]])
-    else:
-        pattern = graphs.complete_graph(t)
-    return MinorModel(host, pattern, sets, obj.get("k", 1))
+    return MinorModel(host, graphs.complete_graph(t), sets, obj.get("k", 1))
 
 
 # ---------------------------------------------------------------- certificates

@@ -320,6 +320,10 @@ WRONG_TYPES = {
     "sets-key-past-pattern": (["model", "sets", "5"], [0]),
     "signatures-key-unknown-edge": (["structure", "base", "signatures", "999"], -1),
     "edge-labels-key-unknown-edge": (["structure", "base", "edge_labels", "999"], [1, 1]),
+    # a second encoding of the K_2 model once, and a model of no K_2 once:
+    # a model is always one of K_pattern_n
+    "pattern-edges-complete": (["model", "pattern_edges"], [[0, 1]]),
+    "pattern-edges-empty": (["model", "pattern_edges"], []),
 }
 
 
@@ -452,6 +456,23 @@ def test_eta_refuses_huge_declared_n_before_allocating(tmp_path):
     done = _cli_in_child(["eta", str(path)])
     assert done.returncode == 4
     assert done.stderr == f"budget: host has {10**8} vertices, oracle cap is 12\n"
+
+
+@pytest.mark.parametrize("pattern_n, code", [(16, 0), (160, 1), (1600, 2), (3840, 2)])
+def test_verify_refuses_a_pattern_with_more_edges_than_the_host(tmp_path, capsys, pattern_n, code):
+    # the (0,16,4,0) host has fewer than 1600*1599/2 edges, so K_1600 and
+    # K_3840 have no classical model in it and are refused before K_t is built
+    cert = tmp_path / "cert.json"
+    run(["construct", "--g", "0", "--p", "16", "--k", "4", "--out", str(cert)], capsys)
+    obj = json.loads(cert.read_text())
+    assert obj["model"]["pattern_n"] == 16
+    obj["model"]["pattern_n"] = pattern_n
+    cert.write_text(json.dumps(obj))
+    done = _cli_in_child(["verify", str(cert)])
+    assert done.returncode == code
+    if code == 2:
+        assert done.stdout == ""
+        assert "edges" in done.stderr and len(done.stderr.strip().splitlines()) == 1
 
 
 def test_verify_rejects_vortex_graph_without_a_label_per_vertex(tmp_path, capsys):

@@ -145,7 +145,7 @@ def test_multiply_edges_labels_cover_all_pairs():
 def test_split_at_faces_reduces_degree():
     emb = multiply_edges(k4_embedding(), 2)
     face = next(w for w in trace_faces(emb) if len(w) == 3)
-    h0 = split_at_faces(emb, [face])
+    h0 = split_at_faces(emb, [face.states[0]])
     for v in h0.vertex_labels:
         if isinstance(h0.vertex_labels[v], graphs.Split):
             assert h0.degree(v) <= 3
@@ -156,7 +156,7 @@ def test_split_at_faces_keeps_small_degrees():
     # degree-3 vertices stay untouched
     emb = k4_embedding()
     face = trace_faces(emb)[0]
-    h0 = split_at_faces(emb, [face])
+    h0 = split_at_faces(emb, [face.states[0]])
     assert h0.n == 4
     assert not any(isinstance(lab, graphs.Split) for lab in h0.vertex_labels.values())
 
@@ -165,7 +165,7 @@ def test_split_at_faces_face_count_invariant():
     emb = multiply_edges(triangulation_catalog(6), 2)
     faces = trace_faces(emb)
     chosen = next(w for w in faces if w.is_cycle and len(w) == 3)
-    h0 = split_at_faces(emb, [chosen])
+    h0 = split_at_faces(emb, [chosen.states[0]])
     assert len(trace_faces(h0)) == len(faces)
 
 
@@ -173,28 +173,23 @@ def test_split_at_disjoint_faces_only():
     emb = k4_embedding()
     walks = trace_faces(emb)
     with pytest.raises(FacesNotDisjoint):
-        split_at_faces(emb, [walks[0], walks[1]])
+        split_at_faces(emb, [walks[0].states[0], walks[1].states[0]])
 
 
-def test_split_at_faces_rejects_walks_that_are_not_faces():
-    emb = multiply_edges(k4_embedding(), 2)
-    face = next(w for w in trace_faces(emb) if len(w) == 3)
-    e = face.states[0][0]
-    not_faces = [
-        FacialWalk((), ()),
-        FacialWalk(((10**6, 0, 1),), ((0, 10**6),)),
-        FacialWalk(((e, 0, 5),), face.incidences[:1]),
-        # the right face, started at another dart-side
-        FacialWalk(face.states[1:] + face.states[:1], face.incidences[1:] + face.incidences[:1]),
-    ]
-    for walk in not_faces:
-        with pytest.raises(NotACycle):
-            split_at_faces(emb, [walk])
+def test_split_at_faces_rejects_a_face_that_repeats_a_vertex():
+    # the path 0-1-2 has one face, 0-1-2-1, through every dart-side
+    emb = embedding_from_neighbors(3, [[1], [0, 2], [1]])
+    for e in emb.edges:
+        for end in (0, 1):
+            for side in (1, -1):
+                with pytest.raises(NotACycle):
+                    split_at_faces(emb, [(e, end, side)])
 
 
 def test_is_face_answers_alike_from_the_cached_faces():
-    # each walk judged by tracing the face through its first dart-side, and
-    # by looking among the faces that `emb.faces` has traced and cached
+    # each walk judged by `_is_face` and by membership among the faces of
+    # the reference tracer, on a fresh embedding and on one whose faces
+    # are already cached
     cases = [
         k4_embedding(),
         multiply_edges(k4_embedding(), 2),
@@ -204,6 +199,8 @@ def test_is_face_answers_alike_from_the_cached_faces():
     ]
     for cached in cases:
         fresh = MultiEmbedding(cached.vertex_labels, cached.edges, cached.rotation)
+        assert "faces" not in vars(fresh)
+        reference = reference_faces(cached)
         walks = [FacialWalk((), ()), FacialWalk(((10**6, 0, 1),), ((0, 10**6),))]
         for w in cached.faces:
             walks += [
@@ -213,8 +210,8 @@ def test_is_face_answers_alike_from_the_cached_faces():
                 FacialWalk(tuple((e, end, -side) for e, end, side in w.states), w.incidences),
                 FacialWalk(w.states[::-1], w.incidences[::-1]),
             ]
-        traced = [embeddings._is_face(fresh, w) for w in walks]
-        assert "faces" not in vars(fresh)
+        traced = [(w.states, w.incidences) in reference for w in walks]
+        assert [embeddings._is_face(fresh, w) for w in walks] == traced
         assert [embeddings._is_face(cached, w) for w in walks] == traced
         assert all(traced[2::4])
 
@@ -227,7 +224,7 @@ def test_underlying_simple_collapses_copies():
 
 def test_face_through_returns_the_face_of_every_state():
     big = multiply_edges(k4_embedding(), 2)
-    split = split_at_faces(big, [next(w for w in trace_faces(big) if len(w) == 3)])
+    split = split_at_faces(big, [next(w for w in trace_faces(big) if len(w) == 3).states[0]])
     cases = [triangulation_catalog(m) for m in (4, 6, 7)] + [grid_embedding(3), split]
     for emb in cases:
         for walk in trace_faces(emb):

@@ -4,6 +4,7 @@ The command set below runs in process under `sys.setprofile`; a function
 that no call enters is code only the tests use, and belongs in `tests/`
 (as the clique-sum and blowup algebra in `paper_lemmas.py` does).
 """
+import ast
 import importlib
 import inspect
 import json
@@ -75,3 +76,19 @@ def test_every_package_function_is_reached_by_a_command(tmp_path, capsys):
         if code not in called and name not in BENCHMARK_ENTRY_POINTS
     ]
     assert sorted(unreached) == []
+
+
+def test_no_package_code_reads_or_writes_caches_through_vars():
+    # a cached property is read through its attribute, never peeked at or
+    # planted in the instance dict
+    hits = []
+    for info in pkgutil.iter_modules(hadwiger.__path__):
+        path = importlib.import_module(f"hadwiger.{info.name}").__file__
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars":
+                hits.append(f"{info.name}:{node.lineno} vars()")
+            if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+                hits.append(f"{info.name}:{node.lineno} __dict__")
+    assert hits == []

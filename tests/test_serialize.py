@@ -158,6 +158,16 @@ def test_model_round_trip():
     assert minors.verify_model(back).ok
 
 
+def test_model_to_json_writes_only_complete_patterns():
+    # the grid's own pattern has no encoding: a file's model is always one
+    # of K_pattern_n
+    grid = graphs.grid_graph(2)
+    model = minors.MinorModel(grid, grid, {x: frozenset({x}) for x in range(grid.n)}, 1)
+    assert minors.verify_model(model).ok
+    with pytest.raises(ValueError):
+        serialize.model_to_json(model)
+
+
 def test_vortex_round_trip():
     structure, _ = constructions.construct_vortex_graph(
         embeddings.triangulation_catalog(3), [embeddings.trace_faces(embeddings.triangulation_catalog(3))[0]], 2, (0, 1, 2, 0)
