@@ -92,20 +92,6 @@ class BoundValue:
     def __ge__(self, other):
         return self._compare(other) >= 0
 
-    def __lt__(self, other):
-        return self._compare(other) < 0
-
-    def __gt__(self, other):
-        return self._compare(other) > 0
-
-    @property
-    def floor(self) -> int:
-        lo, _, d = self._bracket(0)
-        n = lo // d
-        while self >= n + 1:
-            n += 1
-        return n
-
     def __float__(self) -> float:
         if not self.terms:
             x = self.const

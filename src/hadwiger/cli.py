@@ -18,7 +18,6 @@ from . import bounds, constructions, minors, serialize
 from .errors import (
     BudgetExceeded,
     GenusOutOfCatalog,
-    GZero,
     HadwigerError,
     KTooSmall,
     NotInCatalog,
@@ -173,7 +172,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GZero, KTooSmall, ValueError) as exc:
+    except (KTooSmall, ValueError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except HadwigerError as exc:

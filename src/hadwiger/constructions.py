@@ -15,12 +15,7 @@ from itertools import combinations
 
 from . import bounds, embeddings, graphs, minors, vortex
 from .embeddings import MultiEmbedding
-from .errors import (
-    FacesDontCoverVertices,
-    GenusOutOfCatalog,
-    GZero,
-    KTooSmall,
-)
+from .errors import GenusOutOfCatalog, KTooSmall
 from .graphs import SimpleGraph
 from .minors import MinorModel
 from .report import Report
@@ -80,14 +75,11 @@ def construct_vortex_graph(
     the hub (v, i) plus, per incident edge copy, the split vertex on v's side
     whose copy label selects i in v's position under the ascending-id order.
     The a apexes ("apex", j) are adjacent to every vertex and to each other.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    covered = set().union(*(w.vertices for w in faces))
-    uncovered = set(emb.vertex_labels) - covered
-    if uncovered:
-        raise FacesDontCoverVertices(f"vertices {sorted(uncovered)} lie on no face")
 
+    The caller passes k >= 1 and faces that cover every vertex of G: a
+    vertex on no face would get no vortex, and so no hubs for its branch
+    sets.
+    """
     base_graph = emb.simple
     multiplied = embeddings.multiply_edges(emb, k)
     # The face on side +1 of an old dart is the face on side +1 of the last
@@ -165,8 +157,6 @@ def grid_model(n: int, k: int) -> MinorModel:
     """Explicit model of a complete graph of order nk in the grid blowup
     L_n[2k]: branch set (x, z) takes row x in copy 2z-1 and column x in
     copy 2z."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
     host = graphs.lex_product(graphs.grid_graph(n), 2 * k)
     sets = {}
     for x in range(1, n + 1):
@@ -193,12 +183,10 @@ def _certificate(structure: AlmostEmbeddable, model: MinorModel) -> Construction
 
 
 def one_vortex(g: int, p: int, k: int, a: int) -> ConstructionCertificate:
-    """Single-vortex construction in the class (g, p, k, a) from a
+    """Single-vortex construction in the class (g, p, k, a), g >= 1, from a
     near-minimal complete-graph triangulation: delete one vertex, whose link
     is a Hamiltonian facial cycle, and run the vortex construction on it.
     Yields a complete minor of order (m-1)k + a >= k*sqrt(6g) + a."""
-    if g < 1:
-        raise GZero("construction is vacuous without genus")
     if k < 1:
         raise ValueError("k must be >= 1")
     # the integers c with sqrt(6g) + 1 <= c <= sqrt(6g) + 3
@@ -228,8 +216,6 @@ def many_vortex(g: int, p: int, k: int, a: int) -> ConstructionCertificate:
     >= (2/(3*sqrt(3)))*k*sqrt(p) + a."""
     if k < 2:
         raise KTooSmall("at least two hub vertices per face vertex are needed")
-    if p < 1:
-        raise ValueError("p must be >= 1")
     m = math.isqrt(p)
     half = k // 2
     emb = embeddings.grid_embedding(2 * m)

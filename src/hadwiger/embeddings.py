@@ -210,14 +210,15 @@ def trace_faces(emb: MultiEmbedding) -> tuple[FacialWalk, ...]:
 
 
 def euler_genus(emb: MultiEmbedding) -> int:
-    """g = 2 - n + m - f for the traced 2-cell embedding."""
+    """g = 2 - n + m - f for the traced 2-cell embedding.  A connected
+    rotation system traces a closed connected surface, so g >= 0."""
     if not graphs.is_connected(emb.simple):
         raise Disconnected("euler genus requires a connected embedding")
-    f = len(emb.faces)
-    g = 2 - emb.n + emb.m - f
-    if g < 0:
-        raise MalformedRotation(f"negative genus {g}; rotation system inconsistent")
-    return g
+    # faces are traced from darts, so a lone vertex or an empty graph gets
+    # none; either lies on the sphere
+    if not emb.edges:
+        return 0
+    return 2 - emb.n + emb.m - len(emb.faces)
 
 
 def owner_label(label):
@@ -296,14 +297,8 @@ def split_at_faces(emb: MultiEmbedding, starts: Sequence[tuple[int, int, int]]) 
             rot = rotation[v]
             d = len(rot)
             i = rot.index(r_out)
-            if rot[i - 1] == r_in:
-                start = i
-            elif rot[(i + 1) % d] == r_in:
-                start = (i + 1) % d
-            else:
-                raise MalformedRotation(
-                    f"face corner at vertex {v} not adjacent in rotation"
-                )
+            # consecutive darts of a traced face are neighbours in the rotation
+            start = i if rot[i - 1] == r_in else (i + 1) % d
             e_list = rot[start:] + rot[:start]
 
             xs = list(range(next_vertex, next_vertex + d))
@@ -340,8 +335,8 @@ def split_at_faces(emb: MultiEmbedding, starts: Sequence[tuple[int, int, int]]) 
 
 
 def delete_vertex(emb: MultiEmbedding, v: int) -> MultiEmbedding:
-    if v not in emb.vertex_labels:
-        raise KeyError(f"no vertex {v}")
+    """`emb` without the vertex `v` and its edges.  The caller deletes a
+    vertex whose removal leaves the embedding connected."""
     dead_edges = {e for e, edge in emb.edges.items() if v in edge.ends}
     labels = {u: lab for u, lab in emb.vertex_labels.items() if u != v}
     edges = {e: edge for e, edge in emb.edges.items() if e not in dead_edges}
@@ -350,10 +345,7 @@ def delete_vertex(emb: MultiEmbedding, v: int) -> MultiEmbedding:
         for u, rot in emb.rotation.items()
         if u != v
     }
-    out = MultiEmbedding(labels, edges, rotation)
-    if not graphs.is_connected(out.simple):
-        raise Disconnected(f"deleting vertex {v} disconnects the embedding")
-    return out
+    return MultiEmbedding(labels, edges, rotation)
 
 
 def copy_blocks(emb: MultiEmbedding, k: int) -> dict[Dart, list[Dart]]:
@@ -380,8 +372,6 @@ def multiply_edges(emb: MultiEmbedding, k: int) -> MultiEmbedding:
     """Replace every edge uv by k^2 parallel copies labeled (i, j), where i
     indexes the endpoint with the smaller vertex id.  The copies are laid
     out by `copy_blocks`, their ids ascending in lexicographic (i, j) order."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     blocks = copy_blocks(emb, k)
     edges: dict[int, EmbEdge] = {}
     for e in sorted(emb.edges):

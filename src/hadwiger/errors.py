@@ -30,25 +30,15 @@ class NotACycle(HadwigerError):
 # vortices
 
 class InvalidDecomposition(HadwigerError):
-    def __init__(self, message, property_index=None):
-        super().__init__(message)
-        self.property_index = property_index
+    pass
 
 
 # constructions
-
-class FacesDontCoverVertices(HadwigerError):
-    pass
-
 
 class GenusOutOfCatalog(HadwigerError):
     def __init__(self, message, required_range=None):
         super().__init__(message)
         self.required_range = required_range
-
-
-class GZero(HadwigerError):
-    pass
 
 
 class KTooSmall(HadwigerError):

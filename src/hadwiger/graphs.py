@@ -36,10 +36,6 @@ class Split(tuple):
     owner = property(itemgetter(1))
     position = property(itemgetter(2))
 
-    def __getnewargs__(self):
-        # copy and pickle rebuild through __new__(owner, position)
-        return self[1:]
-
     def __repr__(self):
         return f"Split(owner={self[1]!r}, position={self[2]!r})"
 
@@ -111,8 +107,6 @@ def complete_graph(m: int) -> SimpleGraph:
 def grid_graph(n: int) -> SimpleGraph:
     """The n-by-n grid; vertex (x, y) with x, y in [1, n], edges between
     vertices at L1 distance 1.  Labels carry the (x, y) coordinates."""
-    if n < 1:
-        raise ValueError("side length must be positive")
 
     def idx(x, y):
         return (x - 1) * n + (y - 1)
@@ -131,8 +125,6 @@ def grid_graph(n: int) -> SimpleGraph:
 def lex_product(g: SimpleGraph, k: int) -> SimpleGraph:
     """Blow every vertex up to a k-clique; adjacency inherited completely.
     Vertex (v, i) gets label (label(v), i) with i in [1, k]."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
 
     def idx(v, i):
         return v * k + (i - 1)

@@ -90,13 +90,8 @@ def verify_model(model: MinorModel) -> Report:
 
 def compose_models(outer: MinorModel, inner: MinorModel) -> MinorModel:
     """Model composition: a model of J in H and a model of H in G give a
-    model of J in G.  The inner model must have multiplicity 1."""
-    if inner.multiplicity != 1:
-        raise ValueError("inner model must have multiplicity 1")
-    if inner.host.n != outer.pattern.n or set(inner.host.edges()) - set(
-        outer.pattern.edges()
-    ):
-        raise ValueError("inner host does not match outer pattern")
+    model of J in G.  The caller passes an inner model of multiplicity 1
+    whose host is the outer pattern H, vertex for vertex."""
     new_sets = {
         x: frozenset().union(*(outer.branch_sets[h] for h in s))
         for x, s in inner.branch_sets.items()

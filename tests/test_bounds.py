@@ -9,11 +9,24 @@ from hadwiger.bounds import BoundValue
 from oracles import as_sympy
 
 
+def floor(b: BoundValue) -> int:
+    """The largest integer n <= b, found by exact comparisons alone."""
+    lo, hi = -1, 1
+    while not b >= lo:
+        lo *= 2
+    while b >= hi:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if b >= mid else (lo, mid)
+    return lo
+
+
 def test_surface_bound_values():
     assert float(bounds.surface_bound(0)) == 4.0
     b = bounds.surface_bound(2)
     assert as_sympy(b) == sympy.sqrt(12) + 4
-    assert b.floor == 7
+    assert floor(b) == 7
 
 
 def test_surface_bound_holds_for_k7():
@@ -31,7 +44,7 @@ def test_lemma21_bound():
 
 def test_full_upper_example():
     assert float(bounds.full_upper(0, 1, 2, 0)) == 149.0
-    assert bounds.full_upper(0, 1, 2, 0).floor == 149
+    assert floor(bounds.full_upper(0, 1, 2, 0)) == 149
 
 
 def test_full_upper_is_apex_plus_main():
@@ -52,8 +65,8 @@ def test_lower_guarantee_example():
 def test_bound_comparisons_are_exact():
     # sqrt(6) < 2.4495 but floats this close must not flip the comparison
     b = BoundValue.of(0, (6, 1))
-    assert b < Fraction(24495, 10000)
-    assert b > Fraction(24494, 10000)
+    assert not b >= Fraction(24495, 10000)
+    assert not b <= Fraction(24494, 10000)
     assert not b <= 2
     assert b <= 3
 
@@ -124,11 +137,11 @@ def test_bounds_match_sympy():
         b = bounds.lower_guarantee(g, p, k, a)
         e = a + sympy.Rational(k, 4) * sympy.sqrt(p + g)
         assert (str(b), float(b)) == (str(e), float(e)), (g, p, k, a)
-        f = b.floor
+        f = floor(b)
         assert f == (4 * a + math.isqrt(k * k * (p + g))) // 4, (g, p, k, a)
         exact = e == f
-        assert [b < f, b <= f, b >= f, b > f] == [False, exact, True, not exact]
-        assert [b <= f - 1, b > f - 1, b < f + 1, b >= f + 1] == [False, True, True, False]
+        assert [not b >= f, b <= f, b >= f, not b <= f] == [False, exact, True, not exact]
+        assert [b <= f - 1, not b <= f - 1, not b >= f + 1, b >= f + 1] == [False, True, True, False]
     assert float(bounds.lower_guarantee(0, 7, 7, 0)) == 4.630064794363033
 
     for s in range(41):

@@ -356,17 +356,28 @@ BAD_SHAPES = {
 }
 
 
-def _verify_edited(tmp_path, capsys, path, value):
-    """Verify a (0,1,2,0) certificate with `value` put at the JSON `path`;
-    a callable `value` is called on the object that receives it."""
+def _construct(tmp_path, capsys, point=(0, 1, 2, 0)) -> dict:
+    """The JSON of the certificate that `construct` writes for `point`."""
     cert = tmp_path / "cert.json"
-    run(["construct", "--g", "0", "--p", "1", "--k", "2", "--out", str(cert)], capsys)
-    obj = json.loads(cert.read_text())
+    flags = [x for flag, v in zip(("--g", "--p", "--k", "--a"), point) for x in (flag, str(v))]
+    assert run(["construct", *flags, "--out", str(cert)], capsys)[0] == 0
+    return json.loads(cert.read_text())
+
+
+def _put(obj, path, value):
+    """Put `value` at the JSON `path` in `obj`; a callable `value` is called
+    on the object that receives it."""
     owner = obj
     for key in path[:-1]:
         owner = owner[key]
     owner[path[-1]] = value(owner) if callable(value) else value
-    cert.write_text(json.dumps(obj))
+    return obj
+
+
+def _verify_edited(tmp_path, capsys, path, value):
+    """Verify a (0,1,2,0) certificate with `value` put at the JSON `path`."""
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(_put(_construct(tmp_path, capsys), path, value)))
     return run(["verify", str(cert)], capsys)
 
 
@@ -384,6 +395,135 @@ def test_verify_bad_shape_exits_2(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+# ------------------------------------------------------------ probes
+
+def _edited(point, *edits):
+    """The certificate of `point` with each (path, value) of `edits` put in."""
+    def make(build):
+        obj = build(point)
+        for path, value in edits:
+            _put(obj, path, value)
+        return obj
+    return make
+
+
+def _apexes_over_isolated_vertices(n, a):
+    """A certificate of the class (0,0,0,a): a base of n vertices and no
+    edge, no vortex, and `a` apexes joined to everything; its K2 model is
+    the first host vertex and the last apex."""
+    apex = [[{"str": "apex"}, j] for j in range(1, a + 1)]
+    edges = [[x, v] for x in apex for v in range(n)] + [[x, y] for i, x in enumerate(apex) for y in apex[i + 1:]]
+    base = {"vertices": {str(v): v for v in range(n)}, "edges": {}, "rotations": {}}
+    return {
+        "structure": {
+            "base": base, "vortices": [], "disc_faces": [], "apex": apex, "apex_edges": edges, "params": [0, 0, 0, a],
+        },
+        "model": {"pattern_n": 2, "sets": {"0": [0], "1": [n + a - 1]}, "k": 1},
+        "n": 2,
+        "guarantee_expr": str(a),
+    }
+
+
+def _shared_hub(build):
+    # the last hub of vortex 1 takes the label of the last hub of vortex 0
+    obj = build((0, 4, 2, 0))
+    v0, v1 = obj["structure"]["vortices"][:2]
+    old, new = (v["graph"]["labels"][str(v["graph"]["n"] - 1)] for v in (v1, v0))
+    v1["graph"]["labels"][str(v1["graph"]["n"] - 1)] = new
+    v1["bags"] = {pos: [new if lab == old else lab for lab in bag] for pos, bag in v1["bags"].items()}
+    return obj
+
+
+def _apex_named_as_base_vertex(build):
+    # the apex takes a base vertex's label; the apex edge that would be a
+    # loop is dropped
+    obj = build((0, 1, 2, 1))
+    s = obj["structure"]
+    (apex,), label = s["apex"], s["base"]["vertices"]["4"]
+    s["apex"] = [label]
+    s["apex_edges"] = [[label, y] for x, y in s["apex_edges"] if x == apex and y != label]
+    return obj
+
+
+APEX = [{"str": "apex"}, 1]
+
+# Inputs that each reach one refusal or one failing check, run in process:
+# the command, a function of `build(point)` (the JSON `construct` writes)
+# that gives the input file's JSON (None: no input file), the exit code,
+# and what names the refusal: a fragment of the one stderr line for exits
+# 2-4, the failing check for exit 1.
+PROBES = {
+    # parameters
+    "construct-a-negative": (["construct", "--g", "0", "--p", "1", "--k", "2", "--a", "-1"], None, 2, "a must be >= 0"),
+    "construct-p-zero": (["construct", "--g", "0", "--p", "0", "--k", "2"], None, 2, "p must be >= 1"),
+    "construct-g-negative": (["construct", "--g", "-1", "--p", "1", "--k", "2"], None, 2, "g must be >= 0"),
+    "construct-one-vortex-k-zero": (["construct", "--g", "1", "--p", "1", "--k", "0"], None, 2, "k must be >= 1"),
+    "construct-many-vortex-k-one": (["construct", "--g", "0", "--p", "1", "--k", "1"], None, 2, "at least two hub"),
+    "bounds-g-negative": (["bounds", "--g", "-1"], None, 2, "g must be a nonnegative integer"),
+    # eta graphs
+    "eta-empty-host": (["eta"], lambda build: {"n": 0, "edges": []}, 2, "empty host"),
+    "eta-loop": (["eta"], lambda build: {"n": 2, "edges": [[0, 0]]}, 2, "loop at 0"),
+    "eta-edge-out-of-range": (["eta"], lambda build: {"n": 2, "edges": [[0, 5]]}, 2, "leaves the vertex range"),
+    "eta-above-cap": (["eta"], lambda build: {"n": 13, "edges": []}, 4, "oracle cap is 12"),
+    # certificates refused at load
+    "rotation-unknown-vertex": (["verify"], _edited((0, 1, 2, 0), (["structure", "base", "rotations", "999"], [])), 2, "rotation at unknown vertex 999"),
+    "dart-at-wrong-vertex": (["verify"], _edited((0, 1, 2, 0), (["structure", "base", "rotations", "4", 0], [0, 1])), 2, "listed at wrong vertex 4"),
+    "dart-duplicated": (["verify"], _edited((0, 1, 2, 0), (["structure", "base", "rotations", "4"], [[0, 0], [16, 0], [0, 0]])), 2, "duplicated dart (0, 0)"),
+    "dart-missing": (["verify"], _edited((0, 1, 2, 0), (["structure", "base", "rotations", "4"], [[0, 0]])), 2, "missing dart (16,0)"),
+    # edge 16 runs 4-5, and both of its darts move to vertex 4
+    "loop-edge": (["verify"], _edited(
+        (0, 1, 2, 0),
+        (["structure", "base", "edges", "16"], [4, 4]),
+        (["structure", "base", "rotations", "4"], [[0, 0], [16, 0], [16, 1]]),
+        (["structure", "base", "rotations", "5"], [[1, 0], [17, 0]]),
+    ), 2, "loop edge 16"),
+    "disc-face-reversed": (["verify"], _edited((0, 1, 2, 0), (["structure", "disc_faces", 0], lambda faces: faces[0][::-1])), 2, "not a face of the stored base"),
+    "disc-face-short-incidence": (["verify"], _edited((0, 1, 2, 0), (["structure", "disc_faces", 0, 0], [4])), 2, "disc_faces is not a list"),
+    "disc-faces-none": (["verify"], _edited((0, 1, 2, 0), (["structure", "disc_faces"], [])), 2, "one disc face per vortex"),
+    "perimeter-repeats": (["verify"], _edited((0, 1, 2, 0), (["structure", "vortices", 0, "perimeter", 1], lambda per: per[0])), 2, "perimeter repeats a vertex"),
+    "apex-edge-loop": (["verify"], _edited((0, 1, 2, 1), (["structure", "apex_edges", 0], [APEX, APEX])), 2, "loop at"),
+    "apex-edge-unknown-end": (["verify"], _edited((0, 1, 2, 1), (["structure", "apex_edges", 0], [APEX, {"str": "nowhere"}])), 2, "nowhere"),
+    "apex-named-as-base-vertex": (["verify"], _apex_named_as_base_vertex, 2, "labels not unique"),
+    "label-unknown-encoding": (["verify"], _edited((0, 1, 2, 0), (["structure", "base", "edge_labels", "0"], {"foo": 1})), 2, "unknown label encoding"),
+    "model-k-zero": (["verify"], _edited((0, 1, 2, 0), (["model", "k"], 0)), 2, "multiplicity must be >= 1"),
+    # certificates that load and fail one named check
+    "base-disconnected": (["verify"], lambda build: _apexes_over_isolated_vertices(2, 1), 1, "structure-base-genus"),
+    "vortices-share-a-hub": (["verify"], _shared_hub, 1, "structure-vortices-disjoint"),
+    "vortex-width-of-a-broken-decomposition": (["verify"], _edited((0, 1, 2, 0), (["structure", "vortices", 0, "bags", "0"], lambda bags: bags["1"])), 1, "structure-vortex-0-width"),
+    "apex-edge-between-base-vertices": (["verify"], _edited((0, 1, 2, 1), (["structure", "apex_edges"], lambda s: s["apex_edges"] + [[s["base"]["vertices"]["4"], s["base"]["vertices"]["5"]]])), 1, "structure-apex-edges-touch-apex"),
+    # edgeless bases lie on the sphere
+    "base-one-vertex-no-edge": (["verify"], lambda build: _apexes_over_isolated_vertices(1, 1), 0, None),
+    "base-empty": (["verify"], lambda build: _apexes_over_isolated_vertices(0, 2), 0, None),
+}
+
+
+def run_probe(tmp_path, capsys, case):
+    """`main` on the probe `case`: its exit code, stdout and stderr."""
+    command, make, _, _ = PROBES[case]
+    argv = list(command)
+    if make is not None:
+        path = tmp_path / "input.json"
+        obj = make(lambda point: _construct(tmp_path, capsys, point))
+        path.write_text(json.dumps(obj))
+        argv.append(str(path))
+    return run(argv, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(PROBES))
+def test_probe_exit_code(tmp_path, capsys, case):
+    code, out, err = run_probe(tmp_path, capsys, case)
+    _, _, expected, named = PROBES[case]
+    assert code == expected, (out, err)
+    if code == 0:
+        assert err == "" and json.loads(out)["ok"] is True
+    elif code == 1:
+        assert err == ""
+        assert named in [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+    else:
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and named in err, err
 
 
 def test_verify_unorderable_hub_labels_exit_2(tmp_path, capsys):

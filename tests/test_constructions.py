@@ -7,13 +7,7 @@ import sympy
 
 from hadwiger import constructions, embeddings, graphs, minors, serialize, vortex
 from hadwiger.cli import main
-from hadwiger.errors import (
-    FacesDontCoverVertices,
-    FacesNotDisjoint,
-    GenusOutOfCatalog,
-    GZero,
-    KTooSmall,
-)
+from hadwiger.errors import FacesNotDisjoint, GenusOutOfCatalog, KTooSmall
 from oracles import as_sympy
 
 
@@ -85,13 +79,6 @@ def test_disc_faces_follow_input_faces():
         assert expected in rotations, (collapsed, expected)
 
 
-def test_vortex_graph_rejects_partial_cover():
-    emb = embeddings.grid_embedding(3)
-    face = embeddings.find_facial_cycle(emb, [0, 1, 4, 3])
-    with pytest.raises(FacesDontCoverVertices):
-        constructions.construct_vortex_graph(emb, [face], 2, (0, 1, 2, 0))
-
-
 def test_vortex_graph_rejects_overlapping_faces():
     emb = embeddings.grid_embedding(2)
     inner = embeddings.find_facial_cycle(emb, [0, 1, 3, 2])
@@ -133,7 +120,7 @@ def test_one_vortex_g1_k1():
     cert = constructions.one_vortex(1, 1, 1, 0)
     assert cert.target == 3
     assert constructions.verify_certificate(cert).ok
-    assert bool(cert.guarantee < 3)
+    assert not cert.guarantee >= 3
     assert_family_guarantee(cert, one_vortex_bound(1, 1), 1, 1, 1, 0)
 
 
@@ -148,11 +135,6 @@ def test_one_vortex_g2_k1_uses_k6():
     assert cert.target == 5
     assert_family_guarantee(cert, one_vortex_bound(2, 1), 2, 1, 1, 0)
     assert constructions.verify_certificate(cert).ok
-
-
-def test_one_vortex_rejects_g0():
-    with pytest.raises(GZero):
-        constructions.one_vortex(0, 1, 2, 0)
 
 
 def test_one_vortex_catalog_gap():

@@ -1,6 +1,4 @@
-import copy
 import os
-import pickle
 import subprocess
 import sys
 
@@ -84,24 +82,6 @@ def test_split_hash_is_the_same_under_every_hash_seed():
         for seed in ("1", "2")
     }
     assert len(hashes) == 1
-
-
-COPIES = {
-    "copy": copy.copy,
-    "deepcopy": copy.deepcopy,
-    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
-}
-
-
-@pytest.mark.parametrize("how", sorted(COPIES))
-def test_split_survives_copy_and_pickle(how, monkeypatch):
-    label = Split(((1, 1), "x"), 3)
-    again = COPIES[how](label)
-    assert again == label and type(again) is Split
-    # the tuple's own __getnewargs__ passes one argument to __new__
-    monkeypatch.delattr(Split, "__getnewargs__")
-    with pytest.raises(TypeError):
-        COPIES[how](label)
 
 
 def test_clique_sum_identifies_and_drops():
