@@ -16,7 +16,6 @@ from itertools import combinations
 from . import bounds, embeddings, graphs, minors, vortex
 from .embeddings import MultiEmbedding
 from .errors import GenusOutOfCatalog, KTooSmall
-from .graphs import SimpleGraph
 from .minors import MinorModel
 from .report import Report
 from .vortex import AlmostEmbeddable, Vortex

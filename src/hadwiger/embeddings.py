@@ -10,7 +10,6 @@ the vortex construction.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, NamedTuple, Sequence
@@ -211,14 +210,26 @@ def trace_faces(emb: MultiEmbedding) -> tuple[FacialWalk, ...]:
 
 def euler_genus(emb: MultiEmbedding) -> int:
     """g = 2 - n + m - f for the traced 2-cell embedding.  A connected
-    rotation system traces a closed connected surface, so g >= 0."""
+    rotation system traces a closed connected surface, so g >= 0.  Faces
+    are counted, not traced: each boundary circle is two orbits of the
+    `sides` table, so f is half the number of its orbits."""
     if not graphs.is_connected(emb.simple):
         raise Disconnected("euler genus requires a connected embedding")
     # faces are traced from darts, so a lone vertex or an empty graph gets
     # none; either lies on the sphere
     if not emb.edges:
         return 0
-    return 2 - emb.n + emb.m - len(emb.faces)
+    nxt = emb.sides[2]
+    seen = bytearray(len(nxt))
+    orbits = 0
+    for start in range(len(nxt)):
+        if not seen[start]:
+            orbits += 1
+            c = start
+            while not seen[c]:
+                seen[c] = 1
+                c = nxt[c]
+    return 2 - emb.n + emb.m - orbits // 2
 
 
 def owner_label(label):
@@ -251,11 +262,11 @@ def find_facial_cycle(emb: MultiEmbedding, cycle: Sequence[int]) -> FacialWalk:
 
 def _is_face(emb: MultiEmbedding, walk: FacialWalk) -> bool:
     """Whether `walk` is a facial walk of `emb` as `trace_faces` gives it:
-    one of `emb.faces`, which are sorted by incidences, and at most two of
-    which share them (each edge has two sides)."""
-    faces = emb.faces
-    lo = bisect_left(faces, walk.incidences, key=lambda w: w.incidences)
-    return walk in faces[lo : lo + 2]
+    the one face traced through its first dart-side.  An empty walk, or one
+    that starts on an edge `emb` lacks, is none."""
+    if not walk.states or walk.states[0][0] not in emb.edges:
+        return False
+    return walk == face_through(emb, walk.states[0])
 
 
 def split_at_faces(emb: MultiEmbedding, starts: Sequence[tuple[int, int, int]]) -> MultiEmbedding:

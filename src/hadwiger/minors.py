@@ -7,12 +7,16 @@ they share a vertex or the host has an edge between them.  A multiplicity-1
 model is the classical notion: disjoint sets, one host edge per pattern edge.
 
 The oracles are exact and exponential; they refuse hosts above a vertex cap.
-`hadwiger_model` searches contractions depth first on bitmask quotients.  A
-contraction is pruned in its parent, before its state is built, when it
-would leave too few bags or too few edges for a clique larger than the best
-one found; each quotient's clique search starts at that best size, and the
-search stops once the best clique reaches the width of a min-degree
-elimination plus one, an upper bound on the Hadwiger number.
+`hadwiger_model` first follows one greedy contraction path (`greedy_minor`)
+and keeps the largest quotient clique it sees.  The width of a min-degree
+elimination plus one bounds the Hadwiger number from above; when the greedy
+clique reaches it, that clique is the answer and its witness, and nothing
+is searched.  Otherwise contractions are searched depth first on bitmask
+quotients, starting from the greedy clique.  A contraction is pruned in its
+parent, before its state is built, when it would leave too few bags or too
+few edges for a clique larger than the best one found; each quotient's
+clique search starts at that best size, and the search stops once the best
+clique reaches the ceiling.
 `treewidth_ordering` computes the exact treewidth by a DP over elimination
 prefixes on neighbourhood masks and returns an optimal ordering as witness.
 """
@@ -177,29 +181,90 @@ def check_budget(n: int, cap: int):
         raise BudgetExceeded(f"host has {n} vertices, oracle cap is {cap}")
 
 
+def _quotient(adj: list[int], bags: tuple) -> tuple[list[int], int]:
+    """The quotient of the graph with adjacency masks `adj` by the disjoint
+    `bags`: one adjacency row per bag, over bag positions, and its edge
+    count."""
+    quotient = []
+    edges = 0
+    for bag in bags:
+        reach = 0
+        m = bag
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            reach |= adj[v]
+        reach &= ~bag
+        row = 0
+        for j, other in enumerate(bags):
+            if reach & other:
+                row |= 1 << j
+        quotient.append(row)
+        edges += row.bit_count()
+    return quotient, edges // 2
+
+
+def _merge(bags: tuple, i: int, j: int) -> tuple:
+    """`bags` with bags i and j merged into one, kept sorted."""
+    return tuple(
+        sorted([bags[t] for t in range(len(bags)) if t not in (i, j)] + [bags[i] | bags[j]])
+    )
+
+
+def greedy_minor(adj: list[int], ceiling: int) -> tuple[int, tuple]:
+    """The largest quotient clique along one contraction path, and its bags.
+
+    The path starts from singleton bags and contracts a bag of least
+    nonzero degree into its neighbour with the fewest common neighbours
+    (ties to the lowest position): the "least-c" rule of Bodlaender, Koster
+    and Wolle, "Contraction and treewidth lower bounds" (JGAA 2006).  It
+    stops once the clique reaches `ceiling`, when no edge is left, or when
+    the next quotient has no more bags than the clique found; contraction
+    never adds bags, so no later quotient could beat it.
+    """
+    bags = tuple(1 << v for v in range(len(adj)))
+    best, best_bags = 0, ()
+    while True:
+        quotient, _ = _quotient(adj, bags)
+        clique = _max_clique_masks(quotient, best)
+        if clique:
+            best = len(clique)
+            best_bags = tuple(bags[i] for i in clique)
+        live = [i for i, row in enumerate(quotient) if row]
+        if best == ceiling or not live or len(bags) - 1 <= best:
+            return best, best_bags
+        i = min(live, key=lambda t: quotient[t].bit_count())
+        nbrs = [t for t in range(len(bags)) if quotient[i] >> t & 1]
+        j = min(nbrs, key=lambda t: (quotient[i] & quotient[t]).bit_count())
+        bags = _merge(bags, i, j)
+
+
 def hadwiger_model(g: SimpleGraph, cap: int = ORACLE_CAP) -> tuple[int, MinorModel]:
     """Exact largest complete minor with a verified witness model.
 
-    Search over edge contractions: the answer is the maximum clique number
-    over all quotients by connected partitions.  States are memoized by the
-    partition (a sorted tuple of bag masks) and searched depth first.  A
-    contraction of two adjacent bags is skipped in the parent, before the
-    child is built, when the child would have no more bags than the best
-    clique known, or fewer edges than a clique one larger needs: its edge
-    count is the parent's less one, less the two bags' common neighbours,
-    and contraction never adds quotient edges.  Each quotient's clique
-    search only looks for cliques larger than the best known.  The search
-    stops once the best clique reaches the min-degree width plus one, an
-    upper bound on η (η ≤ treewidth + 1).
+    The answer is the maximum clique number over all quotients by
+    connected partitions, and the min-degree width plus one bounds it from
+    above (η ≤ treewidth + 1).  `greedy_minor` first follows one
+    contraction path; when its clique reaches that ceiling, the search is
+    skipped and the witness is the path's.  Otherwise a depth-first search
+    over edge contractions proves the answer, starting from the path's
+    clique: it keeps the path's witness when nothing larger exists and
+    gives its own first larger clique otherwise.  States are memoized by
+    the partition (a sorted tuple of bag masks).  A contraction of two
+    adjacent bags is skipped in the parent, before the child is built, when
+    the child would have no more bags than the best clique known, or fewer
+    edges than a clique one larger needs: its edge count is the parent's
+    less one, less the two bags' common neighbours, and contraction never
+    adds quotient edges.  Each quotient's clique search only looks for
+    cliques larger than the best known.  The search stops once the best
+    clique reaches the ceiling.
     """
     check_budget(g.n, cap)
     if g.n == 0:
         raise ValueError("empty host")
     adj = _adj_masks(g)
     ceiling = min_degree_width(adj) + 1
-
-    best = 0
-    best_bags: tuple = ()
+    best, best_bags = greedy_minor(adj, ceiling)
     # bags are kept sorted and disjoint, so the tuple is its own memo key
     visited: set = set()
 
@@ -209,23 +274,7 @@ def hadwiger_model(g: SimpleGraph, cap: int = ORACLE_CAP) -> tuple[int, MinorMod
             return
         visited.add(bags)
         q = len(bags)
-        quotient = []
-        edges = 0
-        for bag in bags:
-            reach = 0
-            m = bag
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                reach |= adj[v]
-            reach &= ~bag
-            row = 0
-            for j, other in enumerate(bags):
-                if reach & other:
-                    row |= 1 << j
-            quotient.append(row)
-            edges += row.bit_count()
-        edges //= 2
+        quotient, edges = _quotient(adj, bags)
         clique = _max_clique_masks(quotient, best)
         if clique:
             best = len(clique)
@@ -246,24 +295,12 @@ def hadwiger_model(g: SimpleGraph, cap: int = ORACLE_CAP) -> tuple[int, MinorMod
                     < (best + 1) * best // 2
                 ):
                     continue
-                merged = tuple(
-                    sorted(
-                        [bags[t] for t in range(q) if t not in (i, j)]
-                        + [bags[i] | bags[j]]
-                    )
-                )
-                search(merged)
+                search(_merge(bags, i, j))
 
-    search(tuple(sorted(1 << v for v in range(g.n))))
+    if best < ceiling:
+        search(tuple(1 << v for v in range(g.n)))
 
-    sets = {}
-    for x, mask in enumerate(best_bags):
-        members = set()
-        while mask:
-            v = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            members.add(v)
-        sets[x] = frozenset(members)
+    sets = {x: frozenset(v for v in range(g.n) if mask >> v & 1) for x, mask in enumerate(best_bags)}
     model = MinorModel(g, graphs.complete_graph(best), sets, 1)
     return best, model
 

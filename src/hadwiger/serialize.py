@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 
 from . import graphs
-from .embeddings import EmbEdge, MultiEmbedding
+from .embeddings import EmbEdge, MultiEmbedding, face_through
 from .graphs import SimpleGraph, Split
 
 # built once, with no cycle check: each `*_to_json` tree is fresh and acyclic
@@ -220,6 +220,20 @@ def _is_incidence(p) -> bool:
     return isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))
 
 
+def _face_with_incidences(base: MultiEmbedding, key: tuple):
+    """The facial walk of `base` whose incidences are `key`.  A traced walk
+    starts at its first incidence's dart, on one of the dart's two sides."""
+    if key:
+        v, e = key[0]
+        edge = base.edges.get(e)
+        if edge is not None and v in edge.ends:
+            for side in (1, -1):
+                walk = face_through(base, (e, edge.ends.index(v), side))
+                if walk.incidences == key:
+                    return walk
+    raise ValueError("disc face is not a face of the stored base embedding")
+
+
 def structure_from_json(obj: dict):
     from .vortex import AlmostEmbeddable
 
@@ -231,22 +245,16 @@ def structure_from_json(obj: dict):
     # the certificate derives its guarantee from them
     _require(min(params) >= 0, "params has a negative entry")
     base = embedding_from_json(obj["base"])
-    by_incidence = {w.incidences: w for w in base.faces}
     faces = obj["disc_faces"]
     if not isinstance(faces, list) or not all(
         isinstance(inc, list) and all(_is_incidence(p) for p in inc) for inc in faces
     ):
         raise ValueError("disc_faces is not a list of lists of [vertex, edge] pairs")
-    disc_faces = []
-    for inc in faces:
-        key = tuple((p[0], p[1]) for p in inc)
-        if key not in by_incidence:
-            raise ValueError("disc face is not a face of the stored base embedding")
-        disc_faces.append(by_incidence[key])
+    disc_faces = tuple(_face_with_incidences(base, tuple(map(tuple, inc))) for inc in faces)
     return AlmostEmbeddable(
         base=base,
         vortices=tuple(vortex_from_json(v) for v in obj["vortices"]),
-        disc_faces=tuple(disc_faces),
+        disc_faces=disc_faces,
         apex=tuple(label_from_json(x) for x in obj["apex"]),
         apex_edges=tuple(
             (label_from_json(x), label_from_json(y)) for x, y in obj["apex_edges"]

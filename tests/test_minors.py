@@ -194,20 +194,54 @@ def sparse_to_dense_graphs():
     ]
 
 
+def greedy_model(g):
+    """The greedy contraction path's clique size, checked as a K_t model of
+    `g`, and the min-degree ceiling it was run against."""
+    adj = adj_masks(g)
+    ceiling = minors.min_degree_width(adj) + 1
+    t, bags = minors.greedy_minor(adj, ceiling)
+    sets = {x: frozenset(v for v in range(g.n) if bag >> v & 1) for x, bag in enumerate(bags)}
+    assert minors.verify_model(MinorModel(g, graphs.complete_graph(t), sets, 1)).ok
+    return t, ceiling
+
+
 def test_hadwiger_oracle_matches_naive_on_random_graphs():
-    loose = disconnected = 0
+    paths = {"greedy < eta": 0, "greedy = eta < ceiling": 0, "greedy = ceiling": 0}
+    disconnected = 0
     for g in sparse_to_dense_graphs():
         eta = minors.hadwiger_model(g)[0]
         assert eta == naive_eta(g)
-        loose += eta < minors.min_degree_width(adj_masks(g)) + 1
+        greedy, ceiling = greedy_model(g)
+        assert greedy <= eta <= ceiling
+        if greedy < eta:
+            paths["greedy < eta"] += 1
+        elif eta < ceiling:
+            paths["greedy = eta < ceiling"] += 1
+        else:
+            paths["greedy = ceiling"] += 1
         disconnected += not graphs.is_connected_subset(g, range(g.n))
-    # the search must also run to the end, not only stop at the ceiling
-    assert loose >= 1
+    # the search must also run to the end, not only stop at the ceiling or
+    # be skipped; and it must both beat the greedy path and confirm it
+    assert min(paths.values()) >= 1, paths
     assert disconnected >= 1
 
 
+def test_greedy_minor_on_seeded_gnp_12():
+    # too large for naive_eta; hadwiger_model is cross-checked against it
+    # on the smaller graphs above
+    for p in (0.4, 0.5):
+        for seed in range(12):
+            g = gnp(12, p, random.Random(seed))
+            assert greedy_model(g)[0] <= minors.hadwiger_model(g)[0]
+
+
 # name -> (host, eta, SHA-256 of the witness JSON), recorded before the
-# search gained its edge-count prune and its min-degree ceiling.
+# search gained its edge-count prune and its min-degree ceiling.  Wherever
+# the greedy contraction path (`minors.greedy_minor`) reaches eta, its
+# clique is the witness.  That changed gnp-12-0.5-2's witness, so its pin was
+# re-recorded when the greedy seed was added.  On petersen the path stops at
+# 4 and the search supplies the K5; on the other five the path's K_eta is
+# the one the search found first.
 PINNED_WITNESSES = {
     "k5": (
         lambda: graphs.complete_graph(5), 5,
@@ -236,7 +270,7 @@ PINNED_WITNESSES = {
     # loose ceiling: eta = 6, min-degree width 6
     "gnp-12-0.5-2": (
         lambda: gnp(12, 0.5, random.Random(2)), 6,
-        "7234927d50167faaf954ba3c9278add577f69a4c4d2e0f7912a7d4f85727bdd8",
+        "d784ddee0bf9d48300c60687227a27a7e57d1ea1d015718cbab33cab04acdad1",
     ),
 }
 
@@ -251,8 +285,9 @@ def test_hadwiger_witness_bytes_are_pinned(name):
 
 
 # SHA-256 over the witness JSON of every graph of sparse_to_dense_graphs(),
-# in order, recorded before contractions were pruned in the parent state
-SPARSE_TO_DENSE_WITNESSES = "564e2a555de43809354d0861eee7dc3c53c29c27df7387cb60d5435e705c1fde"
+# in order, re-recorded when the greedy seed was added: the greedy path now
+# supplies the witness wherever it reaches eta
+SPARSE_TO_DENSE_WITNESSES = "23c8a87c915bc23bbe69e0cffc51f2621dc32ca4d5cf2dffaf7aee10e24787d8"
 
 
 def test_hadwiger_witness_bytes_are_pinned_on_sparse_to_dense_graphs():
