@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: construct, verify, eta, bounds, export.  Exit codes are part of
-the contract: 0 ok, 1 verification failure, 2 usage, parameter or input error,
-3 catalog gap, 4 oracle budget exceeded.  All outputs are deterministic;
-JSON artifacts are key-sorted and byte-identical across runs.
+the contract: 0 ok, 1 verification failure, 2 usage, parameter or input error
+(an output file that cannot be written included), 3 catalog gap, 4 oracle
+budget exceeded.  All outputs are deterministic; JSON artifacts are
+key-sorted and byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -30,10 +31,17 @@ EXIT_CATALOG = 3
 EXIT_BUDGET = 4
 
 
+class Unwritable(Exception):
+    """An output file that could not be written (exit 2)."""
+
+
 def _write(path: str | None, text: str):
     if path:
-        with open(path, "w") as f:
-            f.write(text)
+        try:
+            with open(path, "w") as f:
+                f.write(text)
+        except OSError as exc:
+            raise Unwritable(f"unwritable output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -84,9 +92,10 @@ def cmd_eta(args) -> int:
     with _decoding("graph"):
         g = serialize.graph_from_json(obj)
     eta, model = minors.hadwiger_model(g, cap=args.cap)
-    print(eta)
+    # written first, so that a failed write prints no eta
     if args.witness:
         _write(args.witness, serialize.dumps(serialize.model_to_json(model)))
+    print(eta)
     return EXIT_OK
 
 
@@ -163,7 +172,7 @@ def main(argv=None) -> int:
         # wrapper later put on a cmd_* function (a tracer's, say) is the one run
         command = globals()[f"cmd_{args.command}"]
         return command(args)
-    except Unreadable as exc:
+    except (Unreadable, Unwritable) as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     except (GenusOutOfCatalog, NotInCatalog) as exc:

@@ -17,11 +17,19 @@ graph.  A model is always a model of the complete graph K_pattern_n, so it
 lists no pattern edges, and a certificate's model is verified as a
 multiplicity-1 (classical) model, whatever its `k` declares.
 
+A certificate's labels are decoded once each, through one table keyed by
+`marshal.dumps(value, 2)` of the parsed JSON (`label_table`): version 2
+writes no back-references and no interned-string flag, so equal values give
+equal keys, where version 4 would key a shared sublist or an interned string
+apart from an equal copy.
+
 All output is key-sorted so identical inputs give byte-identical files.
 """
 from __future__ import annotations
 
 import json
+import marshal
+from itertools import chain
 
 from . import graphs
 from .embeddings import EmbEdge, MultiEmbedding, face_through
@@ -87,6 +95,25 @@ def label_from_json(obj):
     raise ValueError(f"unsupported label {obj!r}")
 
 
+def label_table():
+    """`label_from_json` run once per distinct encoding: a repeat costs one
+    `marshal.dumps` and a dict hit, and a miss is `label_from_json`'s own
+    decode or refusal.  Parsed JSON nests too shallowly to reach marshal's
+    depth limit."""
+    table = {}
+
+    def decode(obj):
+        if type(obj) is int:
+            return obj
+        key = marshal.dumps(obj, 2)
+        label = table.get(key)
+        if label is None:
+            label = table[key] = label_from_json(obj)
+        return label
+
+    return decode
+
+
 # ---------------------------------------------------------------- graphs
 
 def graph_to_json(g: SimpleGraph) -> dict:
@@ -105,12 +132,12 @@ def graph_order(obj: dict) -> int:
     return n
 
 
-def graph_from_json(obj: dict) -> SimpleGraph:
+def graph_from_json(obj: dict, label=label_from_json) -> SimpleGraph:
     n = graph_order(obj)
     labels = None
     if obj.get("labels"):
         _require(len(obj["labels"]) == n, "graph labels do not number n")
-        labels = tuple(label_from_json(obj["labels"][str(i)]) for i in range(n))
+        labels = tuple(label(obj["labels"][str(i)]) for i in range(n))
     return graphs.from_edges(n, [tuple(e) for e in obj["edges"]], labels)
 
 
@@ -143,22 +170,20 @@ def embedding_to_json(emb: MultiEmbedding) -> dict:
     }
 
 
-def embedding_from_json(obj: dict) -> MultiEmbedding:
+def embedding_from_json(obj: dict, label=label_from_json) -> MultiEmbedding:
     ends = _keyed(obj["edges"], "embedding edges")
     signatures = _keyed(obj.get("signatures", {}), "embedding signatures")
     edge_labels = _keyed(obj.get("edge_labels", {}), "embedding edge_labels")
     _require(
         signatures.keys() | edge_labels.keys() <= ends.keys(), "signatures or edge_labels name no edge"
     )
-    edge_labels = {e: label_from_json(lab) for e, lab in edge_labels.items()}
+    edge_labels = {e: label(lab) for e, lab in edge_labels.items()}
     # unpacking rejects an edge or a dart that is not a pair
     edges = {
         e: EmbEdge(e, (u, v), signatures.get(e, 1), edge_labels.get(e))
         for e, (u, v) in ends.items()
     }
-    labels = {
-        v: label_from_json(lab) for v, lab in _keyed(obj["vertices"], "embedding vertices").items()
-    }
+    labels = {v: label(lab) for v, lab in _keyed(obj["vertices"], "embedding vertices").items()}
     rotation = {
         v: tuple((e, end) for e, end in rot)
         for v, rot in _keyed(obj["rotations"], "embedding rotations").items()
@@ -173,9 +198,11 @@ def vortex_to_json(v) -> dict:
     codes = list(graph["labels"].values())
     # each bag in the JSON-text order of its labels, one text per vertex
     texts = [_ENCODER.encode(code) for code in codes]
+    index = v.graph.label_index
     return {
         "graph": graph,
-        "perimeter": [label_to_json(lab) for lab in v.perimeter],
+        # a valid vortex's perimeter lies in its graph; a label outside it is encoded afresh
+        "perimeter": [codes[index[lab]] if lab in index else label_to_json(lab) for lab in v.perimeter],
         "bags": {
             str(pos): [codes[u] for u in sorted(bag, key=texts.__getitem__)]
             for pos, bag in enumerate(v.bags)
@@ -183,7 +210,7 @@ def vortex_to_json(v) -> dict:
     }
 
 
-def vortex_from_json(obj: dict):
+def vortex_from_json(obj: dict, label=label_from_json):
     from .vortex import Vortex
 
     # the labels tie the declared n to the file's size before n vertices
@@ -193,12 +220,12 @@ def vortex_from_json(obj: dict):
         isinstance(labels, dict) and len(labels) == graph_order(obj["graph"]),
         "vortex graph does not carry one label per vertex",
     )
-    graph = graph_from_json(obj["graph"])
-    perimeter = tuple(label_from_json(x) for x in obj["perimeter"])
+    graph = graph_from_json(obj["graph"], label)
+    perimeter = tuple(map(label, obj["perimeter"]))
     _require(len(obj["bags"]) == len(perimeter), "vortex bags do not match its perimeter")
     index = graph.label_index
     bags = tuple(
-        frozenset(index.get(label_from_json(x)) for x in obj["bags"][str(pos)])
+        frozenset(map(index.get, map(label, obj["bags"][str(pos)])))
         for pos in range(len(perimeter))
     )
     _require(not any(None in bag for bag in bags), "a vortex bag entry names no vertex of its graph")
@@ -206,12 +233,14 @@ def vortex_from_json(obj: dict):
 
 
 def structure_to_json(a) -> dict:
+    # an apex ends most apex edges: each end is encoded once
+    codes = {lab: label_to_json(lab) for lab in {*a.apex, *chain.from_iterable(a.apex_edges)}}
     return {
         "base": embedding_to_json(a.base),
         "vortices": [vortex_to_json(v) for v in a.vortices],
         "disc_faces": [walk.incidences for walk in a.disc_faces],
-        "apex": [label_to_json(lab) for lab in a.apex],
-        "apex_edges": [[label_to_json(x), label_to_json(y)] for x, y in a.apex_edges],
+        "apex": [codes[lab] for lab in a.apex],
+        "apex_edges": [[codes[x], codes[y]] for x, y in a.apex_edges],
         "params": a.params,
     }
 
@@ -244,7 +273,8 @@ def structure_from_json(obj: dict):
     )
     # the certificate derives its guarantee from them
     _require(min(params) >= 0, "params has a negative entry")
-    base = embedding_from_json(obj["base"])
+    label = label_table()
+    base = embedding_from_json(obj["base"], label)
     faces = obj["disc_faces"]
     if not isinstance(faces, list) or not all(
         isinstance(inc, list) and all(_is_incidence(p) for p in inc) for inc in faces
@@ -253,12 +283,10 @@ def structure_from_json(obj: dict):
     disc_faces = tuple(_face_with_incidences(base, tuple(map(tuple, inc))) for inc in faces)
     return AlmostEmbeddable(
         base=base,
-        vortices=tuple(vortex_from_json(v) for v in obj["vortices"]),
+        vortices=tuple(vortex_from_json(v, label) for v in obj["vortices"]),
         disc_faces=disc_faces,
-        apex=tuple(label_from_json(x) for x in obj["apex"]),
-        apex_edges=tuple(
-            (label_from_json(x), label_from_json(y)) for x, y in obj["apex_edges"]
-        ),
+        apex=tuple(map(label, obj["apex"])),
+        apex_edges=tuple((label(x), label(y)) for x, y in obj["apex_edges"]),
         params=tuple(params),
     )
 
@@ -290,7 +318,7 @@ def model_from_json(obj: dict, host: SimpleGraph):
     _require(_is_int(obj.get("k", 1)), "model k is not an integer")
     _require(
         isinstance(obj["sets"], dict)
-        and all(isinstance(s, list) and all(map(_is_int, s)) for s in obj["sets"].values()),
+        and all(isinstance(s, list) and set(map(type, s)) <= {int} for s in obj["sets"].values()),
         "model sets is not an object of integer lists",
     )
     sets = {x: frozenset(s) for x, s in _keyed(obj["sets"], "model sets").items()}

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import json
@@ -462,6 +463,10 @@ PROBES = {
     "construct-one-vortex-k-zero": (["construct", "--g", "1", "--p", "1", "--k", "0"], None, 2, "k must be >= 1"),
     "construct-many-vortex-k-one": (["construct", "--g", "0", "--p", "1", "--k", "1"], None, 2, "at least two hub"),
     "bounds-g-negative": (["bounds", "--g", "-1"], None, 2, "g must be a nonnegative integer"),
+    # outputs into a directory that does not exist
+    "construct-out-missing-dir": (["construct", "--g", "0", "--p", "1", "--k", "2", "--out", "missing/cert.json"], None, 2, "unwritable output"),
+    "eta-witness-missing-dir": (["eta", "--witness", "missing/witness.json"], lambda build: {"n": 2, "edges": [[0, 1]]}, 2, "unwritable output"),
+    "export-out-missing-dir": (["export", "--out", "missing/host.json"], lambda build: build((0, 1, 2, 0)), 2, "unwritable output"),
     # eta graphs
     "eta-empty-host": (["eta"], lambda build: {"n": 0, "edges": []}, 2, "empty host"),
     "eta-loop": (["eta"], lambda build: {"n": 2, "edges": [[0, 0]]}, 2, "loop at 0"),
@@ -487,6 +492,8 @@ PROBES = {
     "apex-edge-unknown-end": (["verify"], _edited((0, 1, 2, 1), (["structure", "apex_edges", 0], [APEX, {"str": "nowhere"}])), 2, "nowhere"),
     "apex-named-as-base-vertex": (["verify"], _apex_named_as_base_vertex, 2, "labels not unique"),
     "label-unknown-encoding": (["verify"], _edited((0, 1, 2, 0), (["structure", "base", "edge_labels", "0"], {"foo": 1})), 2, "unknown label encoding"),
+    "bag-entry-bool-member": (["verify"], _edited((0, 1, 2, 0), (["structure", "vortices", 0, "bags", "0", 0], [[1, True], 1])), 2, "unsupported label True"),
+    "bag-entry-float-split-position": (["verify"], _edited((0, 1, 2, 0), (["structure", "vortices", 0, "bags", "0", 0], {"split": [[1, 1], 8.0]})), 2, "split position is not an integer"),
     "model-k-zero": (["verify"], _edited((0, 1, 2, 0), (["model", "k"], 0)), 2, "multiplicity must be >= 1"),
     # certificates that load and fail one named check
     "base-disconnected": (["verify"], lambda build: _apexes_over_isolated_vertices(2, 1), 1, "structure-base-genus"),
@@ -500,7 +507,8 @@ PROBES = {
 
 
 def run_probe(tmp_path, capsys, case):
-    """`main` on the probe `case`: its exit code, stdout and stderr."""
+    """`main` on the probe `case`, run in `tmp_path` so that a relative
+    output path lands there: its exit code, stdout and stderr."""
     command, make, _, _ = PROBES[case]
     argv = list(command)
     if make is not None:
@@ -508,7 +516,8 @@ def run_probe(tmp_path, capsys, case):
         obj = make(lambda point: _construct(tmp_path, capsys, point))
         path.write_text(json.dumps(obj))
         argv.append(str(path))
-    return run(argv, capsys)
+    with contextlib.chdir(tmp_path):
+        return run(argv, capsys)
 
 
 @pytest.mark.parametrize("case", sorted(PROBES))

@@ -1,7 +1,9 @@
 import json
+import re
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dot_reader
@@ -106,6 +108,73 @@ def test_each_label_has_one_json_encoding(a, b):
         assert json.dumps(a) == json.dumps(b)
 
 
+def test_label_table_keys_equal_values_built_apart_alike():
+    # marshal version 4 would key both pairs apart: an interned string
+    # against a fresh one, and a shared sublist against an equal copy
+    decode = serialize.label_table()
+    fresh = "".join(["ap", "ex"])
+    assert fresh is not sys.intern("apex")
+    shared = [1, 2]
+    for a, b in (([{"str": sys.intern("apex")}], [{"str": fresh}]), ([shared, shared], [[1, 2], [1, 2]])):
+        # a hit hands back the tuple decoded for `a`, a miss a new one
+        assert decode(b) is decode(a)
+
+
+@example([1], [True])
+@example([1], [1.0])
+@example([{"str": "a"}], ["a"])
+@example([2**70], [2**70 + 1])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES, JSON_VALUES)
+def test_label_table_decodes_and_refuses_as_label_from_json(a, b):
+    decode = serialize.label_table()
+    for obj in (a, b, a):
+        try:
+            label = serialize.label_from_json(obj)
+        except (ValueError, TypeError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                decode(obj)
+        else:
+            assert typed(decode(obj)) == typed(label)
+
+
+def _label_entries(structure):
+    """Every label entry of a parsed structure, at each place format 1
+    spells one out."""
+    yield from structure["base"]["vertices"].values()
+    yield from structure["base"].get("edge_labels", {}).values()
+    for v in structure["vortices"]:
+        yield from v["graph"]["labels"].values()
+        yield from v["perimeter"]
+        for bag in v["bags"].values():
+            yield from bag
+    yield from structure["apex"]
+    for edge in structure["apex_edges"]:
+        yield from edge
+
+
+@pytest.mark.parametrize("point", [(1, 2, 3, 1), (2, 4, 4, 0), (0, 16, 4, 0)])
+def test_certificate_load_decodes_each_distinct_label_once(monkeypatch, point):
+    obj = json.loads(serialize.dumps(serialize.certificate_to_json(constructions.with_apex(*point))))
+    entries = [x for x in _label_entries(obj["structure"]) if type(x) is not int]
+    distinct = {json.dumps(x) for x in entries}
+    assert len(distinct) < len(entries)
+    decode, depth, calls = serialize.label_from_json, [0], [0]
+
+    def counting(x):
+        # the decoder's recursion on members comes back through this name
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return decode(x)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(serialize, "label_from_json", counting)
+    serialize.certificate_from_json(obj)
+    assert calls[0] == len(distinct)
+
+
 def test_graph_round_trip():
     g = graphs.lex_product(graphs.grid_graph(2), 2)
     back = serialize.graph_from_json(serialize.graph_to_json(g))
@@ -156,6 +225,13 @@ def test_model_round_trip():
     back = serialize.model_from_json(obj, model.host)
     assert back.branch_sets == model.branch_sets
     assert minors.verify_model(back).ok
+
+
+@pytest.mark.parametrize("member", [True, 1.0, "0"])
+def test_model_sets_refuse_a_member_that_is_no_integer(member):
+    obj = {"pattern_n": 2, "sets": {"0": [0], "1": [1, member]}, "k": 1}
+    with pytest.raises(ValueError, match="model sets is not an object of integer lists"):
+        serialize.model_from_json(obj, graphs.complete_graph(3))
 
 
 def test_model_to_json_writes_only_complete_patterns():
