@@ -12,16 +12,23 @@ and keeps the largest quotient clique it sees.  The width of a min-degree
 elimination plus one bounds the Hadwiger number from above; when the greedy
 clique reaches it, that clique is the answer and its witness, and nothing
 is searched.  Otherwise contractions are searched depth first on bitmask
-quotients, starting from the greedy clique.  A contraction is pruned in its
-parent, before its state is built, when it would leave too few bags or too
-few edges for a clique larger than the best one found; each quotient's
-clique search starts at that best size, and the search stops once the best
-clique reaches the ceiling.
+quotients, starting from the greedy clique.  Both walk quotients through
+one kernel: a quotient is its sorted tuple of bag masks and one adjacency
+row per bag, over bag positions.  The root's rows are the adjacency masks,
+and merging two adjacent bags derives the child's rows from the parent's
+by a few mask operations per row (`_merged`, `_contracted`).  A contraction
+is pruned in its parent, before its state is built, when it would leave
+too few bags or too few edges for a clique larger than the best one found,
+and a child already visited is never built.  Each quotient's clique search
+starts at that best size and returns at once when too few rows have the
+degree a larger clique needs; the search stops once the best clique
+reaches the ceiling.
 `treewidth_ordering` computes the exact treewidth by a DP over elimination
 prefixes on neighbourhood masks and returns an optimal ordering as witness.
 """
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 
 from . import graphs
@@ -116,9 +123,14 @@ def _adj_masks(g: SimpleGraph) -> list[int]:
 def _max_clique_masks(adj: list[int], floor: int = 0) -> list[int]:
     """Pivoted Bron-Kerbosch on adjacency masks; the first maximum clique
     in its branching order, sorted, or [] when no clique is larger than
-    `floor`.  A branch is cut once it cannot beat both `floor` and the
-    largest clique found; the branching order does not depend on either,
-    so any `floor` below the clique number gives the same clique as 0."""
+    `floor`.  It returns [] without branching when fewer than floor + 1
+    rows have degree floor or more, since a clique of floor + 1 vertices
+    needs that many.  A branch is cut once it cannot beat both `floor` and
+    the largest clique found; the branching order does not depend on
+    either, so any `floor` below the clique number gives the same clique
+    as 0."""
+    if sum(map(floor.__le__, map(int.bit_count, adj))) <= floor:
+        return []
     best = []
     bound = floor
 
@@ -181,62 +193,68 @@ def check_budget(n: int, cap: int):
         raise BudgetExceeded(f"host has {n} vertices, oracle cap is {cap}")
 
 
-def _quotient(adj: list[int], bags: tuple) -> tuple[list[int], int]:
-    """The quotient of the graph with adjacency masks `adj` by the disjoint
-    `bags`: one adjacency row per bag, over bag positions, and its edge
-    count."""
-    quotient = []
-    edges = 0
-    for bag in bags:
-        reach = 0
-        m = bag
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            reach |= adj[v]
-        reach &= ~bag
-        row = 0
-        for j, other in enumerate(bags):
-            if reach & other:
-                row |= 1 << j
-        quotient.append(row)
-        edges += row.bit_count()
-    return quotient, edges // 2
+def _merged(bags: tuple, i: int, j: int) -> tuple[tuple, int]:
+    """`bags` (sorted, disjoint) with bags i < j merged into one, kept
+    sorted, and the merged bag's position in it."""
+    bag = bags[i] | bags[j]
+    # both merged bags are below their union, so it sorts past them
+    p = bisect(bags, bag) - 2
+    rest = bags[:i] + bags[i + 1:j] + bags[j + 1:]
+    return rest[:p] + (bag,) + rest[p:], p
 
 
-def _merge(bags: tuple, i: int, j: int) -> tuple:
-    """`bags` with bags i and j merged into one, kept sorted."""
-    return tuple(
-        sorted([bags[t] for t in range(len(bags)) if t not in (i, j)] + [bags[i] | bags[j]])
-    )
+def _contracted(rows: list[int], i: int, j: int, p: int) -> list[int]:
+    """The quotient rows after merging adjacent bags i < j into position p
+    (as `_merged` places it), derived from the parent's rows: each row
+    loses bits i and j, its higher bits close the two gaps, bit p opens
+    and is set where bit i or j was, and the merged row is rows i and j
+    joined, re-indexed the same way.  The child has the parent's edges
+    less one, less the two bags' common neighbours."""
+    low = (1 << i) - 1
+    mid = (1 << j - 1) - 1 ^ low
+    high = ~(low | mid)
+    below = (1 << p) - 1
+    ends = 1 << i | 1 << j
+    out = []
+    for r in rows[:i] + rows[i + 1:j] + rows[j + 1:]:
+        s = r & low | r >> 1 & mid | r >> 2 & high
+        out.append(s & below | (s & ~below) << 1 | (r & ends != 0) << p)
+    r = rows[i] | rows[j]
+    s = r & low | r >> 1 & mid | r >> 2 & high
+    out.insert(p, s & below | (s & ~below) << 1)
+    return out
 
 
 def greedy_minor(adj: list[int], ceiling: int) -> tuple[int, tuple]:
     """The largest quotient clique along one contraction path, and its bags.
 
-    The path starts from singleton bags and contracts a bag of least
-    nonzero degree into its neighbour with the fewest common neighbours
-    (ties to the lowest position): the "least-c" rule of Bodlaender, Koster
-    and Wolle, "Contraction and treewidth lower bounds" (JGAA 2006).  It
-    stops once the clique reaches `ceiling`, when no edge is left, or when
-    the next quotient has no more bags than the clique found; contraction
-    never adds bags, so no later quotient could beat it.
+    The path starts from singleton bags, whose quotient rows are the
+    adjacency masks, and contracts a bag of least nonzero degree into its
+    neighbour with the fewest common neighbours (ties to the lowest
+    position): the "least-c" rule of Bodlaender, Koster and Wolle,
+    "Contraction and treewidth lower bounds" (JGAA 2006).  Each quotient's
+    rows come from the last one's (`_contracted`).  It stops once the
+    clique reaches `ceiling`, when no edge is left, or when the next
+    quotient has no more bags than the clique found; contraction never adds
+    bags, so no later quotient could beat it.
     """
     bags = tuple(1 << v for v in range(len(adj)))
+    rows = adj
     best, best_bags = 0, ()
     while True:
-        quotient, _ = _quotient(adj, bags)
-        clique = _max_clique_masks(quotient, best)
+        clique = _max_clique_masks(rows, best)
         if clique:
             best = len(clique)
             best_bags = tuple(bags[i] for i in clique)
-        live = [i for i, row in enumerate(quotient) if row]
+        live = [i for i, row in enumerate(rows) if row]
         if best == ceiling or not live or len(bags) - 1 <= best:
             return best, best_bags
-        i = min(live, key=lambda t: quotient[t].bit_count())
-        nbrs = [t for t in range(len(bags)) if quotient[i] >> t & 1]
-        j = min(nbrs, key=lambda t: (quotient[i] & quotient[t]).bit_count())
-        bags = _merge(bags, i, j)
+        i = min(live, key=lambda t: rows[t].bit_count())
+        nbrs = [t for t in range(len(bags)) if rows[i] >> t & 1]
+        j = min(nbrs, key=lambda t: (rows[i] & rows[t]).bit_count())
+        i, j = sorted((i, j))
+        bags, p = _merged(bags, i, j)
+        rows = _contracted(rows, i, j, p)
 
 
 def hadwiger_model(g: SimpleGraph, cap: int = ORACLE_CAP) -> tuple[int, MinorModel]:
@@ -250,14 +268,16 @@ def hadwiger_model(g: SimpleGraph, cap: int = ORACLE_CAP) -> tuple[int, MinorMod
     over edge contractions proves the answer, starting from the path's
     clique: it keeps the path's witness when nothing larger exists and
     gives its own first larger clique otherwise.  States are memoized by
-    the partition (a sorted tuple of bag masks).  A contraction of two
-    adjacent bags is skipped in the parent, before the child is built, when
-    the child would have no more bags than the best clique known, or fewer
-    edges than a clique one larger needs: its edge count is the parent's
-    less one, less the two bags' common neighbours, and contraction never
-    adds quotient edges.  Each quotient's clique search only looks for
-    cliques larger than the best known.  The search stops once the best
-    clique reaches the ceiling.
+    the partition (a sorted tuple of bag masks).  The root's quotient is
+    the graph itself; every other quotient's rows are derived from its
+    parent's (`_contracted`), and only after its partition is found
+    unvisited.  A contraction of two adjacent bags is skipped in the
+    parent, before the child is built, when the child would have no more
+    bags than the best clique known, or fewer edges than a clique one
+    larger needs: its edge count is the parent's less one, less the two
+    bags' common neighbours, and contraction never adds quotient edges.
+    Each quotient's clique search only looks for cliques larger than the
+    best known.  The search stops once the best clique reaches the ceiling.
     """
     check_budget(g.n, cap)
     if g.n == 0:
@@ -268,37 +288,39 @@ def hadwiger_model(g: SimpleGraph, cap: int = ORACLE_CAP) -> tuple[int, MinorMod
     # bags are kept sorted and disjoint, so the tuple is its own memo key
     visited: set = set()
 
-    def search(bags: tuple):
+    def search(bags: tuple, rows: list[int], edges: int):
         nonlocal best, best_bags
-        if bags in visited:
-            return
         visited.add(bags)
-        q = len(bags)
-        quotient, edges = _quotient(adj, bags)
-        clique = _max_clique_masks(quotient, best)
+        clique = _max_clique_masks(rows, best)
         if clique:
             best = len(clique)
             best_bags = tuple(bags[i] for i in clique)
-        for i in range(q):
-            later = quotient[i] & ~((2 << i) - 1)
+        # every child has q - 1 bags, so none beats a best of q - 1; once a
+        # child lifts best to q - 1, the edge prune cuts its siblings
+        if best == ceiling or len(bags) - 1 <= best:
+            return
+        need = (best + 1) * best // 2
+        for i, row in enumerate(rows):
+            later = row & ~((2 << i) - 1)
             while later:
                 j = (later & -later).bit_length() - 1
                 later &= later - 1
-                if best == ceiling:
-                    return
-                # merging bags i and j leaves q - 1 bags and drops edge ij
-                # plus one edge per common neighbour: prune that child here,
-                # before it is built or memoised (best never decreases, so
-                # it would be pruned at every later visit too)
-                if q - 1 <= best or (
-                    edges - 1 - (quotient[i] & quotient[j]).bit_count()
-                    < (best + 1) * best // 2
-                ):
+                # merging bags i and j drops edge ij plus one edge per
+                # common neighbour: prune that child here, before it is
+                # built or memoised (best never decreases, so it would be
+                # pruned at every later visit too)
+                child_edges = edges - 1 - (row & rows[j]).bit_count()
+                if child_edges < need:
                     continue
-                search(_merge(bags, i, j))
+                child, p = _merged(bags, i, j)
+                if child not in visited:
+                    search(child, _contracted(rows, i, j, p), child_edges)
+                    if best == ceiling:
+                        return
+                    need = (best + 1) * best // 2
 
     if best < ceiling:
-        search(tuple(1 << v for v in range(g.n)))
+        search(tuple(1 << v for v in range(g.n)), adj, g.m)
 
     sets = {x: frozenset(v for v in range(g.n) if mask >> v & 1) for x, mask in enumerate(best_bags)}
     model = MinorModel(g, graphs.complete_graph(best), sets, 1)

@@ -138,7 +138,16 @@ def graph_from_json(obj: dict, label=label_from_json) -> SimpleGraph:
     if obj.get("labels"):
         _require(len(obj["labels"]) == n, "graph labels do not number n")
         labels = tuple(label(obj["labels"][str(i)]) for i in range(n))
-    return graphs.from_edges(n, [tuple(e) for e in obj["edges"]], labels)
+    edges = obj["edges"]
+    # JSON gives lists; `graph_to_json` in memory gives tuples
+    _require(
+        type(edges) is list
+        and set(map(type, edges)) <= {list, tuple}
+        and set(map(len, edges)) <= {2}
+        and set(map(type, chain.from_iterable(edges))) <= {int},
+        "graph edge is not a list of two integers",
+    )
+    return graphs.from_edges(n, edges, labels)
 
 
 def graph_to_dot(g: SimpleGraph, name: str = "G") -> str:

@@ -5,7 +5,9 @@ Hadwiger number is recomputed by enumerating all partitions of the vertex
 set into connected parts and taking the largest clique in the quotient, an
 edge-count certificate bounds it from above, the treewidth is the least
 width over every elimination ordering, and tree decompositions are checked
-axiom by axiom.  `as_sympy` rebuilds a bound as a sympy expression, the
+axiom by axiom.  `quotient_rows` rebuilds a contracted graph's adjacency
+rows from the vertex adjacency, the reference for the search's
+contraction kernel.  `as_sympy` rebuilds a bound as a sympy expression, the
 independent reference for exact bound values.  `reference_faces` traces the
 faces of a rotation system on dart-side tuples, reading only the rotations,
 edges and signatures, as the cross-check of the package's face tracer.
@@ -107,6 +109,21 @@ def naive_eta(g: SimpleGraph) -> int:
 
     assign(0, [])
     return best
+
+
+def quotient_rows(g: SimpleGraph, bags) -> tuple[list[int], int]:
+    """The quotient of g by the disjoint vertex masks `bags`, read from g's
+    adjacency sets: one row per bag, whose bit t is set when some edge of g
+    joins that bag to bag t, and the number of quotient edges."""
+    members = [[v for v in range(g.n) if bag >> v & 1] for bag in bags]
+    rows = []
+    for s, own in enumerate(members):
+        row = 0
+        for t, other in enumerate(members):
+            if t != s and any(g.adj[u] & set(other) for u in own):
+                row |= 1 << t
+        rows.append(row)
+    return rows, sum(bin(row).count("1") for row in rows) // 2
 
 
 def no_kt_minor_by_edge_count(g: SimpleGraph, t: int) -> bool:

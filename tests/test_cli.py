@@ -471,6 +471,8 @@ PROBES = {
     "eta-empty-host": (["eta"], lambda build: {"n": 0, "edges": []}, 2, "empty host"),
     "eta-loop": (["eta"], lambda build: {"n": 2, "edges": [[0, 0]]}, 2, "loop at 0"),
     "eta-edge-out-of-range": (["eta"], lambda build: {"n": 2, "edges": [[0, 5]]}, 2, "leaves the vertex range"),
+    "eta-edge-bool": (["eta"], lambda build: {"n": 2, "edges": [[True, 0]]}, 2, "graph edge is not a list of two integers"),
+    "eta-edge-float": (["eta"], lambda build: {"n": 2, "edges": [[0, 1.0]]}, 2, "graph edge is not a list of two integers"),
     "eta-above-cap": (["eta"], lambda build: {"n": 13, "edges": []}, 4, "oracle cap is 12"),
     # certificates refused at load
     "rotation-unknown-vertex": (["verify"], _edited((0, 1, 2, 0), (["structure", "base", "rotations", "999"], [])), 2, "rotation at unknown vertex 999"),
@@ -492,6 +494,8 @@ PROBES = {
     "apex-edge-unknown-end": (["verify"], _edited((0, 1, 2, 1), (["structure", "apex_edges", 0], [APEX, {"str": "nowhere"}])), 2, "nowhere"),
     "apex-named-as-base-vertex": (["verify"], _apex_named_as_base_vertex, 2, "labels not unique"),
     "label-unknown-encoding": (["verify"], _edited((0, 1, 2, 0), (["structure", "base", "edge_labels", "0"], {"foo": 1})), 2, "unknown label encoding"),
+    # vortex graph edge 2 runs 1-36
+    "vortex-edge-bool": (["verify"], _edited((0, 1, 2, 0), (["structure", "vortices", 0, "graph", "edges", 2, 0], True)), 2, "graph edge is not a list of two integers"),
     "bag-entry-bool-member": (["verify"], _edited((0, 1, 2, 0), (["structure", "vortices", 0, "bags", "0", 0], [[1, True], 1])), 2, "unsupported label True"),
     "bag-entry-float-split-position": (["verify"], _edited((0, 1, 2, 0), (["structure", "vortices", 0, "bags", "0", 0], {"split": [[1, 1], 8.0]})), 2, "split position is not an integer"),
     "model-k-zero": (["verify"], _edited((0, 1, 2, 0), (["model", "k"], 0)), 2, "multiplicity must be >= 1"),

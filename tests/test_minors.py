@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from oracles import (
     check_tree_decomposition,
     naive_eta,
     naive_treewidth,
+    quotient_rows,
 )
 from paper_lemmas import (
     clique_sum_with_embeddings,
@@ -429,3 +431,65 @@ def test_max_clique_floor_keeps_the_clique_that_beats_it():
         for floor in range(len(clique) + 2):
             expected = clique if len(clique) > floor else []
             assert minors._max_clique_masks(adj, floor) == expected
+
+
+@st.composite
+def contraction_walks(draw):
+    """A graph of at most 12 vertices and a list of choices, each picking
+    the next adjacent pair of bags to contract."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = list(graphs.complete_graph(n).edges())
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = graphs.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    return g, draw(st.lists(st.integers(min_value=0, max_value=65), max_size=n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(contraction_walks())
+def test_contraction_kernel_matches_the_reference_quotient(walk):
+    g, choices = walk
+    bags = tuple(1 << v for v in range(g.n))
+    rows, edges = adj_masks(g), g.m
+    for choice in choices:
+        assert (rows, edges) == quotient_rows(g, bags)
+        adjacent = [(i, j) for i, j in combinations(range(len(bags)), 2) if rows[i] >> j & 1]
+        if not adjacent:
+            return
+        i, j = adjacent[choice % len(adjacent)]
+        child, p = minors._merged(bags, i, j)
+        expected = sorted([b for t, b in enumerate(bags) if t not in (i, j)] + [bags[i] | bags[j]])
+        assert child == tuple(expected) and child[p] == bags[i] | bags[j]
+        bags, rows, edges = (
+            child,
+            minors._contracted(rows, i, j, p),
+            edges - 1 - (rows[i] & rows[j]).bit_count(),
+        )
+    assert (rows, edges) == quotient_rows(g, bags)
+
+
+# (calls on petersen, calls in all, SHA-256) of the (rows, floor) arguments
+# that `_max_clique_masks` receives during `hadwiger_model` on petersen and
+# then on the 24 seeded G(12, 0.4-0.5) graphs: a work count of the search
+# that does not drift with the machine.  Recorded while every quotient was
+# still rebuilt from vertex adjacency; a change to the states visited, their
+# order or their rows shows here.
+SEARCH_TREE = (241, 37431, "7107052c63680e8eff5e0adcab8c281d79bf55d3938c2d93658548186c592f49")
+
+
+def test_search_tree_is_pinned(monkeypatch):
+    real = minors._max_clique_masks
+    calls = []
+    digest = hashlib.sha256()
+
+    def spy(rows, floor=0):
+        calls.append(floor)
+        digest.update(f"{list(rows)!r} {floor}\n".encode())
+        return real(rows, floor)
+
+    monkeypatch.setattr(minors, "_max_clique_masks", spy)
+    assert minors.hadwiger_model(petersen())[0] == 5
+    on_petersen = len(calls)
+    for p in (0.4, 0.5):
+        for seed in range(12):
+            minors.hadwiger_model(gnp(12, p, random.Random(seed)))
+    assert (on_petersen, len(calls), digest.hexdigest()) == SEARCH_TREE
