@@ -260,15 +260,6 @@ def find_facial_cycle(emb: MultiEmbedding, cycle: Sequence[int]) -> FacialWalk:
     raise NotACycle(f"{list(cycle)} is not a facial cycle")
 
 
-def _is_face(emb: MultiEmbedding, walk: FacialWalk) -> bool:
-    """Whether `walk` is a facial walk of `emb` as `trace_faces` gives it:
-    the one face traced through its first dart-side.  An empty walk, or one
-    that starts on an edge `emb` lacks, is none."""
-    if not walk.states or walk.states[0][0] not in emb.edges:
-        return False
-    return walk == face_through(emb, walk.states[0])
-
-
 def split_at_faces(emb: MultiEmbedding, starts: Sequence[tuple[int, int, int]]) -> MultiEmbedding:
     """Split every vertex of degree > 3 on each given face into a path of
     degree-<=3 vertices lying along that face.

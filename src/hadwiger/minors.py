@@ -46,10 +46,6 @@ class MinorModel:
     branch_sets: dict
     multiplicity: int = 1
 
-    def __post_init__(self):
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be >= 1")
-
 
 def _sets_touch(host: SimpleGraph, s1: frozenset, s2: frozenset) -> bool:
     if s1 & s2:

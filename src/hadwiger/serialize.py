@@ -14,8 +14,9 @@ something (model `sets` keys < pattern_n; `signatures` and `edge_labels`
 keys in `edges`); `labels` and `bags` hold one entry per vertex and per
 perimeter position, and a bag entry is the label of a vertex of its vortex
 graph.  A model is always a model of the complete graph K_pattern_n, so it
-lists no pattern edges, and a certificate's model is verified as a
-multiplicity-1 (classical) model, whatever its `k` declares.
+lists no pattern edges.  A certificate's model is loaded as a multiplicity-1
+(classical) model: its `k` must be an integer of at least 1 and is
+otherwise ignored.
 
 A certificate's labels are decoded once each, through one table keyed by
 `marshal.dumps(value, 2)` of the parsed JSON (`label_table`): version 2
@@ -53,9 +54,11 @@ def _require(ok: bool, message: str):
 
 def _keyed(obj, what: str) -> dict:
     """A JSON object keyed by integer strings, rekeyed by the integers; a key
-    that is not `str` of its integer, such as "07", "+4" or " 4", is refused."""
+    that is not `str` of an integer, such as "x", "07", "+4" or " 4", is
+    refused."""
     _require(isinstance(obj, dict), f"{what} is not an object")
-    out = {int(k): v for k, v in obj.items()}
+    # a key left out here is refused below, as is every misspelt one
+    out = {int(k): v for k, v in obj.items() if k.removeprefix("-").isdecimal()}
     _require(obj.keys() == set(map(str, out)), f"{what} has a key not spelt as its index")
     return out
 
@@ -127,6 +130,7 @@ def graph_to_json(g: SimpleGraph) -> dict:
 def graph_order(obj: dict) -> int:
     """A graph object's declared vertex count, checked to be a nonnegative
     integer before anything is allocated for it."""
+    _require("n" in obj, "graph n is missing")
     n = obj["n"]
     _require(_is_int(n) and n >= 0, "graph n is not a nonnegative integer")
     return n
@@ -136,8 +140,10 @@ def graph_from_json(obj: dict, label=label_from_json) -> SimpleGraph:
     n = graph_order(obj)
     labels = None
     if obj.get("labels"):
-        _require(len(obj["labels"]) == n, "graph labels do not number n")
-        labels = tuple(label(obj["labels"][str(i)]) for i in range(n))
+        keyed = _keyed(obj["labels"], "graph labels")
+        _require(keyed.keys() == set(range(n)), "graph labels are not keyed 0..n-1")
+        labels = tuple(label(keyed[i]) for i in range(n))
+    _require("edges" in obj, "graph edges is missing")
     edges = obj["edges"]
     # JSON gives lists; `graph_to_json` in memory gives tuples
     _require(
@@ -332,7 +338,10 @@ def model_from_json(obj: dict, host: SimpleGraph):
     )
     sets = {x: frozenset(s) for x, s in _keyed(obj["sets"], "model sets").items()}
     _require(sets.keys() <= set(range(t)), f"model sets has a key outside 0..{t - 1}")
-    return MinorModel(host, graphs.complete_graph(t), sets, obj.get("k", 1))
+    _require(obj.get("k", 1) >= 1, "multiplicity must be >= 1")
+    # a complete minor needs a classical model, whatever multiplicity the
+    # certificate declares
+    return MinorModel(host, graphs.complete_graph(t), sets)
 
 
 # ---------------------------------------------------------------- certificates

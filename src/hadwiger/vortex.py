@@ -112,7 +112,10 @@ def _width(v: Vortex) -> int:
 class AlmostEmbeddable:
     """Embedded base graph, vortices on facial discs, and an apex set.
 
-    `disc_faces[i]` is the facial walk of `base` that vortex i attaches to.
+    `disc_faces[i]` is the facial walk of `base` that vortex i attaches to,
+    as `embeddings.face_through` traces it: the construction traces each one
+    from the base, and the loader refuses a walk that is not one, so it is
+    never traced again here.
     `params` is the declared (g, p, k, a).  Apex adjacency is explicit in
     `apex_edges` (label pairs); apexes may also be adjacent to each other.
     """
@@ -177,7 +180,7 @@ def validate_almost_embeddable(a: AlmostEmbeddable) -> Report:
             sorted(shared ^ set(v.perimeter), key=graphs.label_sort_key) or None,
         )
 
-        rep.add(f"vortex-{i}-disc-is-face", embeddings._is_face(a.base, face) and face.is_cycle)
+        rep.add(f"vortex-{i}-disc-is-face", face.is_cycle)
         face_labels = [a.base.vertex_labels[u] for u in face.vertices]
         rep.add(
             f"vortex-{i}-perimeter-matches-disc",
@@ -186,11 +189,10 @@ def validate_almost_embeddable(a: AlmostEmbeddable) -> Report:
         )
 
     apex_set = set(a.apex)
-    non_apex = base_labels.union(*(v.graph.label_index.keys() for v in a.vortices))
-    # flattening has already refused an endpoint that names no vertex
+    # flattening has already refused an endpoint that names no vertex, and
+    # an apex that shares a label with the base or a vortex
     bad_apex_edges = [e for e in a.apex_edges if not any(x in apex_set for x in e)]
     rep.add("apex-edges-touch-apex", not bad_apex_edges, bad_apex_edges or None)
-    rep.add("apex-disjoint-from-structure", not (apex_set & non_apex), sorted(apex_set & non_apex, key=graphs.label_sort_key) or None)
     return rep
 
 

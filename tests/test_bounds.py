@@ -102,11 +102,13 @@ def test_rejects_negative_input():
 
 
 def test_sandwich_check_small_instance():
+    # the sandwich checks the upper side only; the guarantee is checked once,
+    # by verify_certificate
     cert = constructions.with_apex(0, 1, 2, 0)
     rep = bounds.sandwich_check(cert)
     assert rep.ok
-    names = {c.name for c in rep.checks}
-    assert "lower-guarantee-met" in names
+    assert [c.name for c in rep.checks] == ["certificate-below-upper"]
+    assert "target-meets-guarantee" in {c.name for c in constructions.verify_certificate(cert).checks}
 
 
 def test_sandwich_check_large_instance_skips_oracle():

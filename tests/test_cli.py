@@ -448,6 +448,107 @@ def _apex_named_as_base_vertex(build):
     return obj
 
 
+def _vortex0(obj):
+    return obj["structure"]["vortices"][0]
+
+
+def _swap_perimeter(obj):
+    # swap positions 0 and 2 with their bags: hubs lose consecutiveness
+    v = _vortex0(obj)
+    per, bags = v["perimeter"], v["bags"]
+    per[0], per[2] = per[2], per[0]
+    bags["0"], bags["2"] = bags["2"], bags["0"]
+
+
+def _drop_from_own_bag(obj):
+    v = _vortex0(obj)
+    own = v["perimeter"][1]
+    v["bags"]["1"] = [x for x in v["bags"]["1"] if x != own]
+
+
+def _edge_without_bag(obj):
+    # the first vertex pair, in index order, whose bags are disjoint
+    v = _vortex0(obj)
+    held: dict = {}
+    for pos, bag in v["bags"].items():
+        for lab in bag:
+            held.setdefault(json.dumps(lab), set()).add(pos)
+    graph = v["graph"]
+    bags_of = [held.get(json.dumps(graph["labels"][str(i)]), set()) for i in range(graph["n"])]
+    pair = next(
+        [i, j] for i in range(graph["n"]) for j in range(i + 1, graph["n"])
+        if bags_of[i].isdisjoint(bags_of[j])
+    )
+    graph["edges"].append(pair)
+
+
+UNBAGGED = ["alpha", "beta", "gamma", "delta", "eps"]
+
+
+def _add_unbagged_vertices(obj):
+    # five vortex vertices in no bag, so property 2 lists all five
+    graph = _vortex0(obj)["graph"]
+    for name in UNBAGGED:
+        graph["labels"][str(graph["n"])] = {"str": name}
+        graph["n"] += 1
+
+
+def _broken(point, breaker):
+    """The certificate of `point` with `breaker` applied to it."""
+    def make(build):
+        obj = build(point)
+        breaker(obj)
+        return obj
+    return make
+
+
+def _relaxed_model(build):
+    # a multiplicity-2 model, set 12 repeating set 0, is no K13 minor
+    obj = build((1, 1, 4, 0))
+    model = obj["model"]
+    assert (obj["n"], model["k"]) == (12, 1)
+    model["k"] = 2
+    model["sets"]["12"] = model["sets"]["0"]
+    model["pattern_n"] = obj["n"] = 13
+    return obj
+
+
+def _base_vertex_in_vortex(build):
+    # vortex 0 takes, in bag 0, a base vertex on vortex 1's disc
+    obj = build((0, 4, 2, 0))
+    v0, v1 = obj["structure"]["vortices"][:2]
+    graph, label = v0["graph"], v1["perimeter"][0]
+    graph["labels"][str(graph["n"])] = label
+    graph["n"] += 1
+    v0["bags"]["0"].append(label)
+    return obj
+
+
+def _vortex_on_a_path(build):
+    """A certificate of the class (0,1,1,0) whose base is the path 0-1-2:
+    its one face, 0-1-2-1, repeats a vertex, and a vortex with perimeter
+    0, 1, 2 sits on it; the model is the K1 of vertex 0."""
+    base = {
+        "vertices": {"0": 0, "1": 1, "2": 2},
+        "edges": {"0": [0, 1], "1": [1, 2]},
+        "rotations": {"0": [[0, 0]], "1": [[0, 1], [1, 0]], "2": [[1, 1]]},
+    }
+    vortex = {
+        "graph": {"n": 3, "edges": [], "labels": {"0": 0, "1": 1, "2": 2}},
+        "perimeter": [0, 1, 2],
+        "bags": {"0": [0], "1": [1], "2": [2]},
+    }
+    return {
+        "structure": {
+            "base": base, "vortices": [vortex], "disc_faces": [[[0, 0], [1, 1], [2, 1], [1, 0]]],
+            "apex": [], "apex_edges": [], "params": [0, 1, 1, 0],
+        },
+        "model": {"pattern_n": 1, "sets": {"0": [0]}, "k": 1},
+        "n": 1,
+        "guarantee_expr": "1/4",
+    }
+
+
 APEX = [{"str": "apex"}, 1]
 
 # Inputs that each reach one refusal or one failing check, run in process:
@@ -474,6 +575,10 @@ PROBES = {
     "eta-edge-bool": (["eta"], lambda build: {"n": 2, "edges": [[True, 0]]}, 2, "graph edge is not a list of two integers"),
     "eta-edge-float": (["eta"], lambda build: {"n": 2, "edges": [[0, 1.0]]}, 2, "graph edge is not a list of two integers"),
     "eta-above-cap": (["eta"], lambda build: {"n": 13, "edges": []}, 4, "oracle cap is 12"),
+    "eta-labels-list": (["eta"], lambda build: {"n": 1, "edges": [], "labels": [0]}, 2, "graph labels is not an object"),
+    "eta-labels-bad-key": (["eta"], lambda build: {"n": 2, "edges": [], "labels": {"0": 5, "x": 1}}, 2, "graph labels has a key not spelt as its index"),
+    "eta-missing-n": (["eta"], lambda build: {"edges": []}, 2, "graph n is missing"),
+    "eta-missing-edges": (["eta"], lambda build: {"n": 1}, 2, "graph edges is missing"),
     # certificates refused at load
     "rotation-unknown-vertex": (["verify"], _edited((0, 1, 2, 0), (["structure", "base", "rotations", "999"], [])), 2, "rotation at unknown vertex 999"),
     "dart-at-wrong-vertex": (["verify"], _edited((0, 1, 2, 0), (["structure", "base", "rotations", "4", 0], [0, 1])), 2, "listed at wrong vertex 4"),
@@ -504,6 +609,24 @@ PROBES = {
     "vortices-share-a-hub": (["verify"], _shared_hub, 1, "structure-vortices-disjoint"),
     "vortex-width-of-a-broken-decomposition": (["verify"], _edited((0, 1, 2, 0), (["structure", "vortices", 0, "bags", "0"], lambda bags: bags["1"])), 1, "structure-vortex-0-width"),
     "apex-edge-between-base-vertices": (["verify"], _edited((0, 1, 2, 1), (["structure", "apex_edges"], lambda s: s["apex_edges"] + [[s["base"]["vertices"]["4"], s["base"]["vertices"]["5"]]])), 1, "structure-apex-edges-touch-apex"),
+    "apexes-past-declared-a": (["verify"], _edited((0, 1, 2, 1), (["structure", "params", 3], 0)), 1, "structure-apex-count"),
+    "vortices-past-declared-p": (["verify"], _edited((0, 1, 2, 0), (["structure", "params", 1], 0)), 1, "structure-vortex-count"),
+    # the guarantee 100*sqrt(1)/4 = 25 exceeds the target 2
+    "guarantee-above-target": (["verify"], _edited((0, 1, 2, 0), (["structure", "params", 2], 100)), 1, "target-meets-guarantee"),
+    # the target 6 exceeds full_upper(0, 0, 0, 0) = 5
+    "target-above-upper-bound": (["verify"], _edited((1, 1, 2, 0), (["structure", "params"], [0, 0, 0, 0])), 1, "sandwich-certificate-below-upper"),
+    "target-not-pattern-order": (["verify"], _edited((0, 1, 2, 0), (["n"], 1)), 1, "pattern-is-complete-of-target-order"),
+    "model-set-missing": (["verify"], _edited((0, 1, 2, 0), (["model", "sets"], lambda model: {"0": model["sets"]["0"]})), 1, "model-sets-cover-pattern"),
+    # base vertices 0 and 1 have no edge between them
+    "model-set-disconnected": (["verify"], lambda build: _put(_apexes_over_isolated_vertices(2, 1), ["model", "sets", "0"], [0, 1]), 1, "model-sets-connected"),
+    "model-sets-do-not-touch": (["verify"], lambda build: _put(_apexes_over_isolated_vertices(2, 1), ["model", "sets", "1"], [1]), 1, "model-pattern-edges-touch"),
+    "model-relaxed": (["verify"], _relaxed_model, 1, "model-capacity-1"),
+    "perimeter-off-the-vortex": (["verify"], _edited((0, 1, 2, 0), (["structure", "vortices", 0, "perimeter", 0], {"str": "nowhere"})), 1, "structure-vortex-0-perimeter-in-graph"),
+    "vortex-vertices-in-no-bag": (["verify"], _broken((1, 2, 3, 1), _add_unbagged_vertices), 1, "structure-vortex-0-property-2-covers-vertices"),
+    "perimeter-swapped": (["verify"], _broken((1, 2, 3, 1), _swap_perimeter), 1, "structure-vortex-0-property-4-consecutive"),
+    "vortex-holds-another-disc-vertex": (["verify"], _base_vertex_in_vortex, 1, "structure-vortex-0-meets-base-in-perimeter"),
+    "disc-faces-exchanged": (["verify"], _edited((0, 4, 2, 0), (["structure", "disc_faces"], lambda s: s["disc_faces"][::-1])), 1, "structure-vortex-0-perimeter-matches-disc"),
+    "disc-face-not-a-cycle": (["verify"], _vortex_on_a_path, 1, "structure-vortex-0-disc-is-face"),
     # edgeless bases lie on the sphere
     "base-one-vertex-no-edge": (["verify"], lambda build: _apexes_over_isolated_vertices(1, 1), 0, None),
     "base-empty": (["verify"], lambda build: _apexes_over_isolated_vertices(0, 2), 0, None),
@@ -569,15 +692,10 @@ def _child_env():
 
 
 def test_verify_stdout_does_not_depend_on_the_hash_seed(tmp_path, capsys):
-    # five vortex vertices in no bag, so property 2 lists all five
     cert = tmp_path / "cert.json"
     run(["construct", "--g", "1", "--p", "2", "--k", "3", "--a", "1", "--out", str(cert)], capsys)
     obj = json.loads(cert.read_text())
-    graph = obj["structure"]["vortices"][0]["graph"]
-    names = ["alpha", "beta", "gamma", "delta", "eps"]
-    for name in names:
-        graph["labels"][str(graph["n"])] = {"str": name}
-        graph["n"] += 1
+    _add_unbagged_vertices(obj)
     cert.write_text(json.dumps(obj))
     runs = [
         subprocess.run(
@@ -589,7 +707,7 @@ def test_verify_stdout_does_not_depend_on_the_hash_seed(tmp_path, capsys):
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].returncode == 1
     checks = {c["name"]: c for c in json.loads(runs[0].stdout)["checks"]}
-    assert checks["structure-vortex-0-property-2-covers-vertices"]["witness"] == repr(names)
+    assert checks["structure-vortex-0-property-2-covers-vertices"]["witness"] == repr(UNBAGGED)
 
 
 def _cli_in_child(argv):
@@ -677,17 +795,7 @@ def test_deep_nesting_exits_2(tmp_path, capsys, command):
 
 
 def test_verify_checks_model_at_multiplicity_1(tmp_path, capsys):
-    # a multiplicity-2 model, set 12 repeating set 0, is no K13 minor
-    cert = tmp_path / "cert.json"
-    run(["construct", "--g", "1", "--p", "1", "--k", "4", "--out", str(cert)], capsys)
-    obj = json.loads(cert.read_text())
-    model = obj["model"]
-    assert (obj["n"], model["k"]) == (12, 1)
-    model["k"] = 2
-    model["sets"]["12"] = model["sets"]["0"]
-    model["pattern_n"] = obj["n"] = 13
-    cert.write_text(json.dumps(obj))
-    code, out, err = run(["verify", str(cert)], capsys)
+    code, out, err = run_probe(tmp_path, capsys, "model-relaxed")
     assert (code, err) == (1, "")
     assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == ["model-capacity-1"]
 
@@ -801,46 +909,15 @@ def test_startup_loads_sympy_only_for_guarantees(tmp_path, capsys, case):
 
 # ------------------------------------------------------------ failure reports
 
-def _vortex0(obj):
-    return obj["structure"]["vortices"][0]
-
-
-def _swap_perimeter(obj):
-    # swap positions 0 and 2 with their bags: hubs lose consecutiveness
-    v = _vortex0(obj)
-    per, bags = v["perimeter"], v["bags"]
-    per[0], per[2] = per[2], per[0]
-    bags["0"], bags["2"] = bags["2"], bags["0"]
-
-
-def _drop_from_own_bag(obj):
-    v = _vortex0(obj)
-    own = v["perimeter"][1]
-    v["bags"]["1"] = [x for x in v["bags"]["1"] if x != own]
-
-
-def _edge_without_bag(obj):
-    # the first vertex pair, in index order, whose bags are disjoint
-    v = _vortex0(obj)
-    held: dict = {}
-    for pos, bag in v["bags"].items():
-        for lab in bag:
-            held.setdefault(json.dumps(lab), set()).add(pos)
-    graph = v["graph"]
-    bags_of = [held.get(json.dumps(graph["labels"][str(i)]), set()) for i in range(graph["n"])]
-    pair = next(
-        [i, j] for i in range(graph["n"]) for j in range(i + 1, graph["n"])
-        if bags_of[i].isdisjoint(bags_of[j])
-    )
-    graph["edges"].append(pair)
-
-
 # SHA-256 of `verify` stdout on broken (1,2,3,1) certificates, recorded
-# before vortex validation and flattening ran on vertex indices
+# before vortex validation and flattening ran on vertex indices, and
+# re-pinned when the three entries that could never fail on their own
+# (model-host-is-flattened-structure, structure-apex-disjoint-from-structure,
+# sandwich-lower-guarantee-met) left the report; nothing else changed
 FAILURE_REPORTS = {
-    "perimeter-swap": (_swap_perimeter, "42d41b9c017925a7150f52d84e384ef17dd526ff723e2712463f868e0695e87c"),
-    "outside-own-bag": (_drop_from_own_bag, "43c6d690de347fdc41a8cd8be359cda46bfe0766ad6f304b9c453d6d4a6ff94a"),
-    "edge-without-bag": (_edge_without_bag, "1ae981589942182b6a109ea30338269289af4ab1cf637cf9b2fd43ffb1d011bb"),
+    "perimeter-swap": (_swap_perimeter, "27838f353f9467b1edb66553dceda788114d1bd3fc6625258be1d47b314dbef2"),
+    "outside-own-bag": (_drop_from_own_bag, "e6a17abac2ac106ee5d61c52d6464deda9b96f481baaae220a333e1404f7bba0"),
+    "edge-without-bag": (_edge_without_bag, "37e6380597233bf3b20fca42f28b82ef16a5882e8c006225a2649531e249a52f"),
 }
 
 

@@ -10,7 +10,6 @@ from hadwiger import constructions, embeddings, graphs
 from hadwiger.embeddings import (
     CATALOG_MEMBERS,
     EmbEdge,
-    FacialWalk,
     MultiEmbedding,
     embedding_from_neighbors,
     euler_genus,
@@ -186,10 +185,10 @@ def test_split_at_faces_rejects_a_face_that_repeats_a_vertex():
                     split_at_faces(emb, [(e, end, side)])
 
 
-def test_is_face_answers_alike_from_the_cached_faces():
-    # each walk judged by `_is_face` and by membership among the faces of
-    # the reference tracer, on a fresh embedding and on one whose faces
-    # are already cached
+def test_face_through_answers_alike_from_the_cached_faces():
+    # every dart-side of every face, on both of its orbits, gives the walk
+    # the reference tracer lists, on a fresh embedding and on one whose
+    # faces are already cached
     cases = [
         k4_embedding(),
         multiply_edges(k4_embedding(), 2),
@@ -200,20 +199,19 @@ def test_is_face_answers_alike_from_the_cached_faces():
     for cached in cases:
         fresh = MultiEmbedding(cached.vertex_labels, cached.edges, cached.rotation)
         assert "faces" not in vars(fresh)
-        reference = reference_faces(cached)
-        walks = [FacialWalk((), ()), FacialWalk(((10**6, 0, 1),), ((0, 10**6),))]
-        for w in cached.faces:
-            walks += [
-                w,
-                FacialWalk(w.states[1:] + w.states[:1], w.incidences[1:] + w.incidences[:1]),
-                # the same incidences on the other sides
-                FacialWalk(tuple((e, end, -side) for e, end, side in w.states), w.incidences),
-                FacialWalk(w.states[::-1], w.incidences[::-1]),
-            ]
-        traced = [(w.states, w.incidences) in reference for w in walks]
-        assert [embeddings._is_face(fresh, w) for w in walks] == traced
-        assert [embeddings._is_face(cached, w) for w in walks] == traced
-        assert all(traced[2::4])
+        assert len(cached.faces) == len(reference_faces(cached))
+        sides = set()
+        for states, incidences in reference_faces(cached):
+            for e, end, side in states:
+                # one band arc further along the same boundary circle
+                arrival = -side if cached.edges[e].sign == 1 else side
+                for state in ((e, end, side), (e, 1 - end, arrival)):
+                    sides.add(state)
+                    for emb in (fresh, cached):
+                        walk = face_through(emb, state)
+                        assert (walk.states, walk.incidences) == (states, incidences)
+        assert len(sides) == 4 * cached.m
+        assert "faces" not in vars(fresh)
 
 
 def test_underlying_simple_collapses_copies():

@@ -1,5 +1,6 @@
 """Every function, method and `raise` of the package is reached by a
-command, on valid input or on one of the hostile probes of `test_cli.py`.
+command, on valid input or on one of the hostile probes of `test_cli.py`,
+and every check that `verify` reports fails on one of them.
 
 The commands and probes run in process under `sys.setprofile`; a function
 that no call enters is code only the tests use, and belongs in `tests/`
@@ -14,10 +15,12 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import sys
 
 import hadwiger
 from hadwiger.cli import main
+from hadwiger.report import Report
 from test_cli import BAD_SHAPES, PROBES, WRONG_TYPES, _verify_edited, run_probe
 
 # Reached from perfbench/ only: tracing.py wraps max_clique, treewidth_oracle
@@ -221,6 +224,30 @@ def test_every_raise_is_reached_by_a_command_or_a_probe(tmp_path, capsys):
         if not any((path, line) in raised for line in range(first, last + 1))
     }
     assert sorted(unreached) == sorted(UNREACHED_RAISES)
+
+
+def test_every_check_verify_reports_fails_on_a_probe(tmp_path, capsys, monkeypatch):
+    # a check that no input fails, or that fails on exactly the inputs
+    # another check fails on, tells the reader of the report nothing new.
+    # The reports are read where `verify` prints them, and a vortex check
+    # is one check for every vortex index.
+    reports = []
+    to_json = Report.to_json
+    monkeypatch.setattr(Report, "to_json", lambda self: reports.append(self) or to_json(self))
+    run_commands(tmp_path)
+    run_probes(tmp_path, capsys)
+    failing = {}
+    for i, rep in enumerate(reports):
+        for c in rep.checks:
+            inputs = failing.setdefault(re.sub(r"^structure-vortex-\d+-", "structure-vortex-<i>-", c.name), set())
+            if not c.ok:
+                inputs.add(i)
+    assert reports
+    assert sorted(name for name, inputs in failing.items() if not inputs) == []
+    twins: dict = {}
+    for name, inputs in failing.items():
+        twins.setdefault(frozenset(inputs), []).append(name)
+    assert [names for names in twins.values() if len(names) > 1] == []
 
 
 def test_no_package_code_reads_or_writes_caches_through_vars():
