@@ -16,13 +16,7 @@ import json
 import sys
 
 from . import bounds, constructions, minors, serialize
-from .errors import (
-    BudgetExceeded,
-    GenusOutOfCatalog,
-    HadwigerError,
-    KTooSmall,
-    NotInCatalog,
-)
+from .errors import BudgetExceeded, GenusOutOfCatalog, HadwigerError, NotInCatalog
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -85,13 +79,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eta(args) -> int:
-    n, obj = _load(args.graph, lambda obj: (serialize.graph_order(obj), obj), "graph")
-    # the declared n meets the cap before n vertices are allocated; outside
-    # `_decoding`, so that a refusal exits 4, not 2
-    minors.check_budget(n, args.cap)
-    with _decoding("graph"):
-        g = serialize.graph_from_json(obj)
-    eta, model = minors.hadwiger_model(g, cap=args.cap)
+    def graph(obj):
+        # the declared n meets the cap before n vertices are allocated; the
+        # refusal passes `_decoding`, so it exits 4, not 2
+        minors.check_budget(serialize.check_shape("graph", obj)["n"], args.cap)
+        return serialize.graph_from_json(obj)
+
+    eta, model = minors.hadwiger_model(_load(args.graph, graph, "graph"), cap=args.cap)
     # written first, so that a failed write prints no eta
     if args.witness:
         _write(args.witness, serialize.dumps(serialize.model_to_json(model)))
@@ -181,12 +175,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (KTooSmall, ValueError) as exc:
+    except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except HadwigerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     finally:
         if enabled:
             gc.enable()

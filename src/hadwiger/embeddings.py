@@ -32,8 +32,8 @@ class EmbEdge(NamedTuple):
 @dataclass(frozen=True)
 class MultiEmbedding:
     """Loops are forbidden; parallel edges (distinct edge ids) are fine.
-    Construction runs `validate`: every dart is listed once, at its vertex,
-    and edge ends, darts and signatures are ints, not bools or floats.
+    Construction runs `validate`: every dart is listed once, at its vertex.
+    Edge ends, darts and signatures are ints (`serialize.SHAPES` in a file).
 
     Faces are traced on integer side codes: the dart-side (e, end, side) is
     4*rank[e] + 2*end + (side == 1), rank[e] being e's position among the
@@ -56,7 +56,7 @@ class MultiEmbedding:
                 raise MalformedRotation(f"rotation at unknown vertex {v}")
             for dart in rot:
                 e, end = dart
-                if not (type(e) is type(end) is int and e in self.edges and end in (0, 1)):
+                if e not in self.edges or end not in (0, 1):
                     raise MalformedRotation(f"bad dart {dart} at vertex {v}")
                 if self.edges[e].ends[end] != v:
                     raise MalformedRotation(f"dart {dart} listed at wrong vertex {v}")
@@ -65,11 +65,9 @@ class MultiEmbedding:
                 seen.add(dart)
         for e, edge in self.edges.items():
             u, v = edge.ends
-            if type(u) is not int or type(v) is not int:
-                raise MalformedRotation(f"edge {e} has an end that is not an integer")
             if u == v:
                 raise MalformedRotation(f"loop edge {e}")
-            if type(edge.sign) is not int or edge.sign not in (1, -1):
+            if edge.sign not in (1, -1):
                 raise MalformedRotation(f"bad signature on edge {e}")
             for end in (0, 1):
                 if (e, end) not in seen:

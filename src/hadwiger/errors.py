@@ -41,11 +41,7 @@ class GenusOutOfCatalog(HadwigerError):
         self.required_range = required_range
 
 
-class KTooSmall(HadwigerError):
-    pass
-
-
 # minor models and oracles
 
-class BudgetExceeded(HadwigerError):
-    pass
+class BudgetExceeded(Exception):
+    """Above an oracle's vertex cap (exit 4): no `HadwigerError`, which a loader reads as malformed input."""

@@ -1,22 +1,14 @@
 """JSON and DOT serialization.
 
-Schemas:
-  graph        {"n": int, "edges": [[u,v],...], "labels": {"0": ...}}
-  embedding    {"vertices": {...}, "edges": {"eid": [u,v]}, "rotations":
-                {"v": [[eid,end],...]}, "signatures": {"eid": -1},
-                "edge_labels": {"eid": [i,j]}}
-  vortex       {"perimeter": [...], "bags": {"pos": [...]}, "graph": ...}
-  model        {"pattern_n": t, "sets": {"x": [host indices]}, "k": 1}
-  certificate  {"structure": ..., "model": ..., "n": ..., "guarantee_expr": ...}
-
-Index keys are spelt as `str(index)` ("7", not "07" or "+7") and name
-something (model `sets` keys < pattern_n; `signatures` and `edge_labels`
-keys in `edges`); `labels` and `bags` hold one entry per vertex and per
-perimeter position, and a bag entry is the label of a vertex of its vortex
-graph.  A model is always a model of the complete graph K_pattern_n, so it
-lists no pattern edges.  A certificate's model is loaded as a multiplicity-1
-(classical) model: its `k` must be an integer of at least 1 and is
-otherwise ignored.
+`SHAPES` lists, for each kind of object the loaders read, the fields they
+read and the shape of each.  Index keys are spelt as `str(index)` ("7", not
+"07" or "+7") and name something (model `sets` keys < pattern_n;
+`signatures` and `edge_labels` keys in `edges`); `labels` and `bags` hold
+one entry per vertex and per perimeter position, and a bag entry is the
+label of a vertex of its vortex graph.  A model is always a model of the
+complete graph K_pattern_n, so it lists no pattern edges.  A certificate's
+model is loaded as a multiplicity-1 (classical) model: its `k` must be an
+integer of at least 1 and is otherwise ignored.
 
 A certificate's labels are decoded once each, through one table keyed by
 `marshal.dumps(value, 2)` of the parsed JSON (`label_table`): version 2
@@ -40,23 +32,94 @@ from .graphs import SimpleGraph, Split
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-# ---------------------------------------------------------------- field types
+# ---------------------------------------------------------------- shapes
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+# Each kind's fields, in the order they are checked, and the shape of each;
+# a field marked "?" may be left out.  Fields a row does not name are ignored.
+SHAPES = {
+    "graph": {"n": "a nonnegative integer", "edges": "a list of integer pairs", "labels?": "an object"},
+    "embedding": {
+        "edges": "an object of integer pairs", "signatures?": "an object of integers",
+        "edge_labels?": "an object", "vertices": "an object",
+        "rotations": "an object of lists of integer pairs",
+    },
+    "vortex": {"graph": "an object", "perimeter": "a list", "bags": "an object of lists"},
+    "structure": {
+        "params": "a list of 4 nonnegative integers", "base": "an object",
+        "disc_faces": "a list of lists of integer pairs", "vortices": "a list", "apex": "a list",
+        "apex_edges": "a list of pairs",
+    },
+    "model": {"pattern_n": "an integer", "k?": "an integer", "sets": "an object of integer lists"},
+    "certificate": {
+        "n": "an integer", "structure": "an object", "model": "an object", "guarantee_expr": "any value",
+    },
+}
+
+# JSON gives lists; a `*_to_json` tree in memory gives tuples
+_LISTS = {list, tuple}
+
+
+# Each test runs in C over all members at once, never a Python call per member.
+def _all(xs, types=frozenset({int})) -> bool:
+    """Whether the type of every member of `xs` is one of `types`, integers unless given."""
+    return set(map(type, xs)) <= types
+
+
+def _pairs(xs) -> bool:
+    return _all(xs, _LISTS) and set(map(len, xs)) <= {2}
+
+
+def _int_pairs(xs) -> bool:
+    return _pairs(xs) and _all(chain.from_iterable(xs))
+
+
+def _lists_of(xs, test) -> bool:
+    """Whether every member of `xs` is a list, and `test` holds of all their members."""
+    return _all(xs, _LISTS) and test(list(chain.from_iterable(xs)))
+
+
+_TESTS = {
+    "any value": lambda x: True,
+    "an integer": lambda x: type(x) is int,
+    "a nonnegative integer": lambda x: type(x) is int and x >= 0,
+    "an object": lambda x: type(x) is dict,
+    "an object of integers": lambda x: type(x) is dict and _all(x.values()),
+    "an object of lists": lambda x: type(x) is dict and _all(x.values(), _LISTS),
+    "an object of integer lists": lambda x: type(x) is dict and _lists_of(x.values(), _all),
+    "an object of integer pairs": lambda x: type(x) is dict and _int_pairs(x.values()),
+    "an object of lists of integer pairs": lambda x: type(x) is dict and _lists_of(x.values(), _int_pairs),
+    "a list": lambda x: type(x) in _LISTS,
+    "a list of pairs": lambda x: type(x) in _LISTS and _pairs(x),
+    "a list of integer pairs": lambda x: type(x) in _LISTS and _int_pairs(x),
+    "a list of lists of integer pairs": lambda x: type(x) in _LISTS and _lists_of(x, _int_pairs),
+    "a list of 4 nonnegative integers": lambda x: type(x) in _LISTS and len(x) == 4 and _all(x) and min(x) >= 0,
+}
+
+
+def check_shape(kind: str, obj) -> dict:
+    """`obj`, refused unless it is an object whose fields have the shapes of its
+    `SHAPES` row: "<kind> <field> is missing" or "<kind> <field> is not <shape>"."""
+    _require(type(obj) is dict, f"{kind} is not an object")
+    for field, shape in SHAPES[kind].items():
+        name = field.removesuffix("?")
+        if name not in obj:
+            if name == field:
+                raise ValueError(f"{kind} {name} is missing")
+        elif not _TESTS[shape](obj[name]):
+            raise ValueError(f"{kind} {name} is not {shape}")
+    return obj
 
 
 def _require(ok: bool, message: str):
-    """Reject a field of the wrong JSON type before any object is built."""
+    """Refuse malformed input before any object is built from it."""
     if not ok:
         raise ValueError(message)
 
 
-def _keyed(obj, what: str) -> dict:
+def _keyed(obj: dict, what: str) -> dict:
     """A JSON object keyed by integer strings, rekeyed by the integers; a key
     that is not `str` of an integer, such as "x", "07", "+4" or " 4", is
     refused."""
-    _require(isinstance(obj, dict), f"{what} is not an object")
     # a key left out here is refused below, as is every misspelt one
     out = {int(k): v for k, v in obj.items() if k.removeprefix("-").isdecimal()}
     _require(obj.keys() == set(map(str, out)), f"{what} has a key not spelt as its index")
@@ -86,8 +149,10 @@ def label_from_json(obj):
     if isinstance(obj, dict):
         if len(obj) == 1:
             if "split" in obj:
-                owner, pos = obj["split"]
-                _require(_is_int(pos), "split position is not an integer")
+                split = obj["split"]
+                _require(type(split) is list and len(split) == 2, "split label is not a two-item list")
+                owner, pos = split
+                _require(type(pos) is int, "split position is not an integer")
                 return Split(label_from_json(owner), pos)
             if "str" in obj:
                 _require(isinstance(obj["str"], str), "str label is not a string")
@@ -127,33 +192,16 @@ def graph_to_json(g: SimpleGraph) -> dict:
     }
 
 
-def graph_order(obj: dict) -> int:
-    """A graph object's declared vertex count, checked to be a nonnegative
-    integer before anything is allocated for it."""
-    _require("n" in obj, "graph n is missing")
-    n = obj["n"]
-    _require(_is_int(n) and n >= 0, "graph n is not a nonnegative integer")
-    return n
-
-
 def graph_from_json(obj: dict, label=label_from_json) -> SimpleGraph:
-    n = graph_order(obj)
+    n = check_shape("graph", obj)["n"]
     labels = None
-    if obj.get("labels"):
+    if "labels" in obj:
         keyed = _keyed(obj["labels"], "graph labels")
-        _require(keyed.keys() == set(range(n)), "graph labels are not keyed 0..n-1")
+        # counted first, so that n is allocated only for a file that holds n labels
+        ok = len(keyed) == n and keyed.keys() == set(range(n))
+        _require(ok, "graph does not carry one label per vertex 0..n-1")
         labels = tuple(label(keyed[i]) for i in range(n))
-    _require("edges" in obj, "graph edges is missing")
-    edges = obj["edges"]
-    # JSON gives lists; `graph_to_json` in memory gives tuples
-    _require(
-        type(edges) is list
-        and set(map(type, edges)) <= {list, tuple}
-        and set(map(len, edges)) <= {2}
-        and set(map(type, chain.from_iterable(edges))) <= {int},
-        "graph edge is not a list of two integers",
-    )
-    return graphs.from_edges(n, edges, labels)
+    return graphs.from_edges(n, obj["edges"], labels)
 
 
 def graph_to_dot(g: SimpleGraph, name: str = "G") -> str:
@@ -186,23 +234,16 @@ def embedding_to_json(emb: MultiEmbedding) -> dict:
 
 
 def embedding_from_json(obj: dict, label=label_from_json) -> MultiEmbedding:
+    check_shape("embedding", obj)
     ends = _keyed(obj["edges"], "embedding edges")
     signatures = _keyed(obj.get("signatures", {}), "embedding signatures")
     edge_labels = _keyed(obj.get("edge_labels", {}), "embedding edge_labels")
-    _require(
-        signatures.keys() | edge_labels.keys() <= ends.keys(), "signatures or edge_labels name no edge"
-    )
+    _require(signatures.keys() | edge_labels.keys() <= ends.keys(), "signatures or edge_labels name no edge")
     edge_labels = {e: label(lab) for e, lab in edge_labels.items()}
-    # unpacking rejects an edge or a dart that is not a pair
-    edges = {
-        e: EmbEdge(e, (u, v), signatures.get(e, 1), edge_labels.get(e))
-        for e, (u, v) in ends.items()
-    }
+    edges = {e: EmbEdge(e, (u, v), signatures.get(e, 1), edge_labels.get(e)) for e, (u, v) in ends.items()}
     labels = {v: label(lab) for v, lab in _keyed(obj["vertices"], "embedding vertices").items()}
-    rotation = {
-        v: tuple((e, end) for e, end in rot)
-        for v, rot in _keyed(obj["rotations"], "embedding rotations").items()
-    }
+    rotations = _keyed(obj["rotations"], "embedding rotations")
+    rotation = {v: tuple(map(tuple, rot)) for v, rot in rotations.items()}
     return MultiEmbedding(labels, edges, rotation)
 
 
@@ -228,21 +269,16 @@ def vortex_to_json(v) -> dict:
 def vortex_from_json(obj: dict, label=label_from_json):
     from .vortex import Vortex
 
-    # the labels tie the declared n to the file's size before n vertices
-    # are allocated; indexing rejects a graph that is not an object
-    labels = obj["graph"]["labels"]
-    _require(
-        isinstance(labels, dict) and len(labels) == graph_order(obj["graph"]),
-        "vortex graph does not carry one label per vertex",
-    )
+    check_shape("vortex", obj)
+    # its labels tie the graph's declared n to the file's size before n
+    # vertices are allocated
+    _require("labels" in obj["graph"], "vortex graph labels is missing")
     graph = graph_from_json(obj["graph"], label)
     perimeter = tuple(map(label, obj["perimeter"]))
-    _require(len(obj["bags"]) == len(perimeter), "vortex bags do not match its perimeter")
+    positions = list(map(str, range(len(perimeter))))
+    _require(obj["bags"].keys() == set(positions), "vortex bags do not match its perimeter")
     index = graph.label_index
-    bags = tuple(
-        frozenset(map(index.get, map(label, obj["bags"][str(pos)])))
-        for pos in range(len(perimeter))
-    )
+    bags = tuple(frozenset(map(index.get, map(label, obj["bags"][pos]))) for pos in positions)
     _require(not any(None in bag for bag in bags), "a vortex bag entry names no vertex of its graph")
     return Vortex(graph, perimeter, bags)
 
@@ -258,10 +294,6 @@ def structure_to_json(a) -> dict:
         "apex_edges": [[codes[x], codes[y]] for x, y in a.apex_edges],
         "params": a.params,
     }
-
-
-def _is_incidence(p) -> bool:
-    return isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))
 
 
 def _face_with_incidences(base: MultiEmbedding, key: tuple):
@@ -281,28 +313,17 @@ def _face_with_incidences(base: MultiEmbedding, key: tuple):
 def structure_from_json(obj: dict):
     from .vortex import AlmostEmbeddable
 
-    params = obj["params"]
-    _require(
-        isinstance(params, list) and len(params) == 4 and all(map(_is_int, params)),
-        "params is not a list of 4 integers",
-    )
-    # the certificate derives its guarantee from them
-    _require(min(params) >= 0, "params has a negative entry")
+    check_shape("structure", obj)
     label = label_table()
     base = embedding_from_json(obj["base"], label)
-    faces = obj["disc_faces"]
-    if not isinstance(faces, list) or not all(
-        isinstance(inc, list) and all(_is_incidence(p) for p in inc) for inc in faces
-    ):
-        raise ValueError("disc_faces is not a list of lists of [vertex, edge] pairs")
-    disc_faces = tuple(_face_with_incidences(base, tuple(map(tuple, inc))) for inc in faces)
+    disc_faces = tuple(_face_with_incidences(base, tuple(map(tuple, inc))) for inc in obj["disc_faces"])
     return AlmostEmbeddable(
         base=base,
         vortices=tuple(vortex_from_json(v, label) for v in obj["vortices"]),
         disc_faces=disc_faces,
         apex=tuple(map(label, obj["apex"])),
         apex_edges=tuple((label(x), label(y)) for x, y in obj["apex_edges"]),
-        params=tuple(params),
+        params=tuple(obj["params"]),
     )
 
 
@@ -323,19 +344,12 @@ def model_to_json(model) -> dict:
 def model_from_json(obj: dict, host: SimpleGraph):
     from .minors import MinorModel
 
-    t = obj["pattern_n"]
-    _require(_is_int(t), "model pattern_n is not an integer")
+    t = check_shape("model", obj)["pattern_n"]
     _require("pattern_edges" not in obj, "model pattern_edges is refused: the pattern is always complete")
     # before K_t is built: its classical model has t disjoint branch sets and
     # a host edge between each pair of them
     _require(0 <= t <= host.n, f"model pattern_n is outside 0..{host.n}")
     _require(t * (t - 1) // 2 <= host.m, f"model pattern_n {t} needs more than the host's {host.m} edges")
-    _require(_is_int(obj.get("k", 1)), "model k is not an integer")
-    _require(
-        isinstance(obj["sets"], dict)
-        and all(isinstance(s, list) and set(map(type, s)) <= {int} for s in obj["sets"].values()),
-        "model sets is not an object of integer lists",
-    )
     sets = {x: frozenset(s) for x, s in _keyed(obj["sets"], "model sets").items()}
     _require(sets.keys() <= set(range(t)), f"model sets has a key outside 0..{t - 1}")
     _require(obj.get("k", 1) >= 1, "multiplicity must be >= 1")
@@ -362,10 +376,9 @@ def certificate_from_json(obj: dict):
     parsed."""
     from .constructions import ConstructionCertificate
 
-    _require(_is_int(obj["n"]), "n is not an integer")
+    check_shape("certificate", obj)
     structure = structure_from_json(obj["structure"])
     model = model_from_json(obj["model"], structure.host)
-    _require("guarantee_expr" in obj, "guarantee_expr is missing")
     return ConstructionCertificate(structure=structure, target=obj["n"], model=model)
 
 

@@ -213,7 +213,10 @@ def add_apexes(host: SimpleGraph, apex, apex_edges) -> SimpleGraph:
     labels = host.labels + tuple(apex)
     index = dict(host.label_index)
     index.update((lab, i) for i, lab in enumerate(apex, start=host.n))
-    pairs = [(index[x], index[y]) for x, y in apex_edges]
+    try:
+        pairs = [(index[x], index[y]) for x, y in apex_edges]
+    except KeyError as exc:
+        raise ValueError(f"apex edge end {exc.args[0]!r} names no vertex") from None
     loop = min((i for i, j in pairs if i == j), default=None)
     if loop is not None:
         raise ValueError(f"loop at {loop}")

@@ -572,14 +572,29 @@ PROBES = {
     "eta-empty-host": (["eta"], lambda build: {"n": 0, "edges": []}, 2, "empty host"),
     "eta-loop": (["eta"], lambda build: {"n": 2, "edges": [[0, 0]]}, 2, "loop at 0"),
     "eta-edge-out-of-range": (["eta"], lambda build: {"n": 2, "edges": [[0, 5]]}, 2, "leaves the vertex range"),
-    "eta-edge-bool": (["eta"], lambda build: {"n": 2, "edges": [[True, 0]]}, 2, "graph edge is not a list of two integers"),
-    "eta-edge-float": (["eta"], lambda build: {"n": 2, "edges": [[0, 1.0]]}, 2, "graph edge is not a list of two integers"),
+    "eta-edge-bool": (["eta"], lambda build: {"n": 2, "edges": [[True, 0]]}, 2, "graph edges is not a list of integer pairs"),
+    "eta-edge-float": (["eta"], lambda build: {"n": 2, "edges": [[0, 1.0]]}, 2, "graph edges is not a list of integer pairs"),
     "eta-above-cap": (["eta"], lambda build: {"n": 13, "edges": []}, 4, "oracle cap is 12"),
     "eta-labels-list": (["eta"], lambda build: {"n": 1, "edges": [], "labels": [0]}, 2, "graph labels is not an object"),
     "eta-labels-bad-key": (["eta"], lambda build: {"n": 2, "edges": [], "labels": {"0": 5, "x": 1}}, 2, "graph labels has a key not spelt as its index"),
     "eta-missing-n": (["eta"], lambda build: {"edges": []}, 2, "graph n is missing"),
     "eta-missing-edges": (["eta"], lambda build: {"n": 1}, 2, "graph edges is missing"),
+    "eta-graph-string": (["eta"], lambda build: "nope", 2, "graph is not an object"),
+    "eta-graph-integer": (["eta"], lambda build: 5, 2, "graph is not an object"),
+    "eta-graph-null": (["eta"], lambda build: None, 2, "graph is not an object"),
+    "eta-graph-list": (["eta"], lambda build: [1], 2, "graph is not an object"),
     # certificates refused at load
+    "certificate-list": (["verify"], lambda build: [1], 2, "certificate is not an object"),
+    "certificate-without-n": (["verify"], _broken((0, 1, 2, 0), lambda obj: obj.pop("n")), 2, "certificate n is missing"),
+    "certificate-without-structure": (["verify"], _broken((0, 1, 2, 0), lambda obj: obj.pop("structure")), 2, "certificate structure is missing"),
+    "structure-without-base": (["verify"], _broken((0, 1, 2, 0), lambda obj: obj["structure"].pop("base")), 2, "structure base is missing"),
+    "structure-without-params": (["verify"], _broken((0, 1, 2, 0), lambda obj: obj["structure"].pop("params")), 2, "structure params is missing"),
+    "vortices-object": (["verify"], _edited((0, 1, 2, 0), (["structure", "vortices"], lambda s: {"0": s["vortices"][0]})), 2, "structure vortices is not a list"),
+    "apex-integer": (["verify"], _edited((0, 1, 2, 0), (["structure", "apex"], 5)), 2, "structure apex is not a list"),
+    "vortex-without-perimeter": (["verify"], _broken((0, 1, 2, 0), lambda obj: _vortex0(obj).pop("perimeter")), 2, "vortex perimeter is missing"),
+    "vortex-without-bags": (["verify"], _broken((0, 1, 2, 0), lambda obj: _vortex0(obj).pop("bags")), 2, "vortex bags is missing"),
+    "vortex-graph-without-labels": (["verify"], _broken((0, 1, 2, 0), lambda obj: _vortex0(obj)["graph"].pop("labels")), 2, "vortex graph labels is missing"),
+    "model-without-sets": (["verify"], _broken((0, 1, 2, 0), lambda obj: obj["model"].pop("sets")), 2, "model sets is missing"),
     "rotation-unknown-vertex": (["verify"], _edited((0, 1, 2, 0), (["structure", "base", "rotations", "999"], [])), 2, "rotation at unknown vertex 999"),
     "dart-at-wrong-vertex": (["verify"], _edited((0, 1, 2, 0), (["structure", "base", "rotations", "4", 0], [0, 1])), 2, "listed at wrong vertex 4"),
     "dart-duplicated": (["verify"], _edited((0, 1, 2, 0), (["structure", "base", "rotations", "4"], [[0, 0], [16, 0], [0, 0]])), 2, "duplicated dart (0, 0)"),
@@ -600,7 +615,7 @@ PROBES = {
     "apex-named-as-base-vertex": (["verify"], _apex_named_as_base_vertex, 2, "labels not unique"),
     "label-unknown-encoding": (["verify"], _edited((0, 1, 2, 0), (["structure", "base", "edge_labels", "0"], {"foo": 1})), 2, "unknown label encoding"),
     # vortex graph edge 2 runs 1-36
-    "vortex-edge-bool": (["verify"], _edited((0, 1, 2, 0), (["structure", "vortices", 0, "graph", "edges", 2, 0], True)), 2, "graph edge is not a list of two integers"),
+    "vortex-edge-bool": (["verify"], _edited((0, 1, 2, 0), (["structure", "vortices", 0, "graph", "edges", 2, 0], True)), 2, "graph edges is not a list of integer pairs"),
     "bag-entry-bool-member": (["verify"], _edited((0, 1, 2, 0), (["structure", "vortices", 0, "bags", "0", 0], [[1, True], 1])), 2, "unsupported label True"),
     "bag-entry-float-split-position": (["verify"], _edited((0, 1, 2, 0), (["structure", "vortices", 0, "bags", "0", 0], {"split": [[1, 1], 8.0]})), 2, "split position is not an integer"),
     "model-k-zero": (["verify"], _edited((0, 1, 2, 0), (["model", "k"], 0)), 2, "multiplicity must be >= 1"),

@@ -7,7 +7,7 @@ import sympy
 
 from hadwiger import constructions, embeddings, minors, serialize, vortex
 from hadwiger.cli import main
-from hadwiger.errors import FacesNotDisjoint, GenusOutOfCatalog, KTooSmall
+from hadwiger.errors import FacesNotDisjoint, GenusOutOfCatalog
 from oracles import as_sympy
 
 
@@ -168,7 +168,7 @@ def test_many_vortex_floor_behavior():
 
 
 def test_many_vortex_rejects_k1():
-    with pytest.raises(KTooSmall):
+    with pytest.raises(ValueError, match="at least two hub vertices per face vertex are needed"):
         constructions.many_vortex(0, 4, 1, 0)
 
 

@@ -4,7 +4,8 @@ One field of a serialized (1,2,3,1) certificate is overwritten with an
 out-of-range or wrongly shaped value: an integer, a string, a float, null,
 a label object or nested lists of these.  About half the draws put a
 label-shaped value at a label position instead.  Whatever the value,
-`cli.main` must return 0, 1 or 2 and let no exception escape, and a mutant
+`cli.main` must return 0, 1 or 2 and let no exception escape, a mutant it
+refuses (exit 2) must be refused by a `raise` of the package, and a mutant
 it accepts must still be accepted after a load and dump through `serialize`.
 """
 import contextlib
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from hadwiger import serialize
 from hadwiger.cli import main
+from test_reach import refused_by_a_package_raise
 
 # JSON paths of the fuzzed fields; ANY stands for one member of the
 # container there (a list position or an object key), drawn per example.
@@ -134,6 +136,8 @@ def test_hostile_field_never_escapes(base, case, picks):
     mutant.write_text(json.dumps(obj))
     code = _verify(mutant)
     assert code in (0, 1, 2)
+    if code == 2:
+        assert refused_by_a_package_raise(obj)
     if code == 0:
         again = path.with_name("again.json")
         again.write_text(serialize.dumps(serialize.certificate_to_json(serialize.certificate_from_json(obj))))

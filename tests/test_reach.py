@@ -1,6 +1,7 @@
 """Every function, method and `raise` of the package is reached by a
 command, on valid input or on one of the hostile probes of `test_cli.py`,
-and every check that `verify` reports fails on one of them.
+every check that `verify` reports fails on one of them, and every
+certificate the loader refuses is refused by a `raise` of the package.
 
 The commands and probes run in process under `sys.setprofile`; a function
 that no call enters is code only the tests use, and belongs in `tests/`
@@ -10,6 +11,7 @@ guards against nothing a user can send, and is deleted unless it is
 listed in `UNREACHED_RAISES` with the reason it stays.
 """
 import ast
+import functools
 import importlib
 import inspect
 import json
@@ -19,9 +21,10 @@ import re
 import sys
 
 import hadwiger
+from hadwiger import serialize
 from hadwiger.cli import main
 from hadwiger.report import Report
-from test_cli import BAD_SHAPES, PROBES, WRONG_TYPES, _verify_edited, run_probe
+from test_cli import BAD_SHAPES, PROBES, WRONG_TYPES, _construct, _put, _verify_edited, run_probe
 
 # Reached from perfbench/ only: tracing.py wraps max_clique, treewidth_oracle
 # and vortex_width by name, run.py times treewidth_oracle, which runs
@@ -166,6 +169,7 @@ def _template(node) -> str:
     return ""
 
 
+@functools.cache
 def package_raises() -> dict:
     """(path, first line, last line) -> key of every `raise` in the package."""
     found = {}
@@ -224,6 +228,31 @@ def test_every_raise_is_reached_by_a_command_or_a_probe(tmp_path, capsys):
         if not any((path, line) in raised for line in range(first, last + 1))
     }
     assert sorted(unreached) == sorted(UNREACHED_RAISES)
+
+
+def refused_by_a_package_raise(obj) -> bool:
+    """Whether loading `obj` as a certificate is refused, and the innermost
+    frame of the refusal is a `raise` statement of the package: not an
+    unpacking, a subscript or a comparison that Python refuses first."""
+    try:
+        serialize.certificate_from_json(obj)
+    except Exception as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        site = (tb.tb_frame.f_code.co_filename, tb.tb_lineno)
+        return any(site[0] == path and first <= site[1] <= last for path, first, last in package_raises())
+    return False
+
+
+def test_every_refused_certificate_is_refused_by_a_package_raise(tmp_path, capsys):
+    # the exit-2 `verify` probes and every wrong-type and bad-shape edit;
+    # `test_fuzz_verify.py` asks the same of every fuzzed certificate that exits 2
+    build = functools.partial(_construct, tmp_path, capsys)
+    inputs = {case: make(build) for case, (command, make, code, _) in PROBES.items() if command == ["verify"] and code == 2}
+    for table in (WRONG_TYPES, BAD_SHAPES):
+        inputs.update((case, _put(build((0, 1, 2, 0)), *table[case])) for case in table)
+    assert sorted(case for case, obj in inputs.items() if not refused_by_a_package_raise(obj)) == []
 
 
 def test_every_check_verify_reports_fails_on_a_probe(tmp_path, capsys, monkeypatch):
