@@ -82,7 +82,10 @@ def cmd_eta(args) -> int:
     def graph(obj):
         # the declared n meets the cap before n vertices are allocated; the
         # refusal passes `_decoding`, so it exits 4, not 2
-        minors.check_budget(serialize.check_shape("graph", obj)["n"], args.cap)
+        n = serialize.check_shape("graph", obj)["n"]
+        minors.check_budget(n, args.cap)
+        if n == 0:
+            raise ValueError("graph has no vertex")
         return serialize.graph_from_json(obj)
 
     eta, model = minors.hadwiger_model(_load(args.graph, graph, "graph"), cap=args.cap)

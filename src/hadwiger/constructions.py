@@ -102,11 +102,15 @@ def construct_vortex_graph(
         # order; bag pos holds pos and the k hubs of its owner
         hubs = [(v, i) for v in face_labels for i in range(1, k + 1)]
         labels.extend(hubs)
-        firsts = [t + k * face_labels.index(owner) for owner in owners]
-        bags = tuple(frozenset((pos, *range(f, f + k))) for pos, f in enumerate(firsts))
+        first = {v: t + k * i for i, v in enumerate(face_labels)}
+        bags = tuple(frozenset((pos, *range(first[v], first[v] + k))) for pos, v in enumerate(owners))
         # the vortex graph is the union of the bags' cliques
-        cliques = {e for bag in bags for e in combinations(sorted(bag), 2)}
-        graph = graphs.from_edges(t + len(hubs), cliques, perimeter + tuple(hubs))
+        adj = [set() for _ in range(t + len(hubs))]
+        for bag in bags:
+            for u in bag:
+                adj[u] |= bag
+        adj = tuple(frozenset(nbrs) - {u} for u, nbrs in enumerate(adj))
+        graph = graphs.SimpleGraph(len(adj), adj, perimeter + tuple(hubs))
         vortices.append(Vortex(graph, perimeter, bags))
 
     apex = tuple(("apex", j) for j in range(1, params[3] + 1))
@@ -127,21 +131,20 @@ def construct_vortex_graph(
     for e, edge in h0.edges.items():
         if edge.label is None:
             continue
-        # the copy's (i, j) label indexes its original ends in ascending order
+        # the copy's (i, j) label indexes its original ends in ascending order;
+        # splitting re-points ends in place, so end x in h0 is end x's side
         i, j = edge.label
-        small_lab, big_lab = (emb.vertex_labels[u] for u in sorted(multiplied.edges[e].ends))
-        l0, l1 = (h0.vertex_labels[u] for u in edge.ends)
-        if embeddings.owner_label(l0) == big_lab:
-            l0, l1 = l1, l0
-        sets[(small_lab, i)].add(l0)
-        sets[(big_lab, j)].add(l1)
+        (a, b), (x, y) = multiplied.edges[e].ends, edge.ends
+        if a > b:
+            a, b, x, y = b, a, y, x
+        sets[(emb.vertex_labels[a], i)].add(h0.vertex_labels[x])
+        sets[(emb.vertex_labels[b], j)].add(h0.vertex_labels[y])
 
-    host = structure.host
+    index = structure.host.label_index
     branch_sets = {
-        lex.index_of(key): frozenset(host.index_of(lab) for lab in labs)
-        for key, labs in sets.items()
+        lex.index_of(key): frozenset(map(index.__getitem__, labs)) for key, labs in sets.items()
     }
-    model = MinorModel(host, lex, branch_sets, 1)
+    model = MinorModel(structure.host, lex, branch_sets, 1)
     return structure, model
 
 

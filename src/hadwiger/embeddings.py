@@ -117,14 +117,15 @@ class MultiEmbedding:
         """The underlying simple graph, vertices ordered by embedding vertex
         id; built once per embedding."""
         order = self.vertices
-        index = {v: i for i, v in enumerate(order)}
-        pairs = set()
+        index = dict(zip(order, range(len(order))))
+        adj = [set() for _ in order]
+        # `validate` has refused loops and ends that are not vertices
         for edge in self.edges.values():
             a, b = index[edge.ends[0]], index[edge.ends[1]]
-            pairs.add((min(a, b), max(a, b)))
-        return graphs.from_edges(
-            len(order), sorted(pairs), tuple(self.vertex_labels[v] for v in order)
-        )
+            adj[a].add(b)
+            adj[b].add(a)
+        labels = tuple(map(self.vertex_labels.__getitem__, order))
+        return SimpleGraph(len(order), tuple(map(frozenset, adj)), labels)
 
 
 @dataclass(frozen=True)

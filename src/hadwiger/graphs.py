@@ -162,20 +162,34 @@ def is_connected(g: SimpleGraph) -> bool:
     return is_connected_subset(g, range(g.n))
 
 
-def union_by_labels(parts: Sequence[SimpleGraph]) -> SimpleGraph:
-    """Union of several graphs glued on equal labels; multi-edges collapse.
-    Vertex order: first occurrence across `parts`; the result indexes itself."""
-    labels: list = []
-    index: dict = {}
-    adj: list[set[int]] = []
-    for part in parts:
-        ids = []
-        for lab in part.labels:
-            i = index.setdefault(lab, len(labels))
-            if i == len(labels):
-                labels.append(lab)
-                adj.append(set())
-            ids.append(i)
+def union_by_labels(parts: Sequence[SimpleGraph], apex=(), apex_edges=()) -> SimpleGraph:
+    """Union of several graphs glued on equal labels, multi-edges collapsed,
+    plus the `apex` vertices and the `apex_edges` (label pairs).  Vertex
+    order: the first part's own, then first occurrence across the others,
+    then the apexes.  Refuses an apex edge end that names no vertex, then an
+    apex edge loop, then an apex whose label is taken."""
+    first, *rest = parts
+    # label -> vertex, numbered in insertion order, so its keys are the labels
+    index = dict(first.label_index)
+    adj = list(map(set, first.adj))
+    for part in rest:
+        ids = [index.setdefault(lab, len(index)) for lab in part.labels]
+        adj.extend(set() for _ in range(len(index) - len(adj)))
         for u, nbrs in zip(ids, part.adj):
-            adj[u].update([ids[v] for v in nbrs])
+            adj[u].update(map(ids.__getitem__, nbrs))
+    labels = list(index)
+    if apex:
+        index.update(zip(apex, range(len(labels), len(labels) + len(apex))))
+        labels.extend(apex)
+        adj.extend(set() for _ in apex)
+        try:
+            pairs = [(index[x], index[y]) for x, y in apex_edges]
+        except KeyError as exc:
+            raise ValueError(f"apex edge end {exc.args[0]!r} names no vertex") from None
+        loop = next((x for x, y in apex_edges if x == y), None)
+        if loop is not None:
+            raise ValueError(f"apex edge loop at {loop!r}")
+        for i, j in pairs:
+            adj[i].add(j)
+            adj[j].add(i)
     return SimpleGraph(len(labels), tuple(map(frozenset, adj)), tuple(labels))

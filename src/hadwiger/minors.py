@@ -276,8 +276,6 @@ def hadwiger_model(g: SimpleGraph, cap: int = ORACLE_CAP) -> tuple[int, MinorMod
     best known.  The search stops once the best clique reaches the ceiling.
     """
     check_budget(g.n, cap)
-    if g.n == 0:
-        raise ValueError("empty host")
     adj = _adj_masks(g)
     ceiling = min_degree_width(adj) + 1
     best, best_bags = greedy_minor(adj, ceiling)

@@ -10,7 +10,10 @@ complete graph K_pattern_n, so it lists no pattern edges.  A certificate's
 model is loaded as a multiplicity-1 (classical) model: its `k` must be an
 integer of at least 1 and is otherwise ignored.
 
-A certificate's labels are decoded once each, through one table keyed by
+A certificate's labels are encoded once each, through one table
+(`LabelCodes`) that also encodes each owner of a Split and each member of a
+tuple label once; every place that names a label shares its encoding.
+They are decoded once each, through one table keyed by
 `marshal.dumps(value, 2)` of the parsed JSON (`label_table`): version 2
 writes no back-references and no interned-string flag, so equal values give
 equal keys, where version 4 would key a shared sublist or an interned string
@@ -30,6 +33,11 @@ from .graphs import SimpleGraph, Split
 
 # built once, with no cycle check: each `*_to_json` tree is fresh and acyclic
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+# its C encoder, built once (`_ENCODER.encode` builds one per call, which
+# costs more than a label's text); it returns the text in parts
+_TEXT = json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True
+)
 
 
 # ---------------------------------------------------------------- shapes
@@ -128,17 +136,30 @@ def _keyed(obj: dict, what: str) -> dict:
 
 # ---------------------------------------------------------------- labels
 
-def label_to_json(label):
+def label_to_json(label, encode=None):
+    """The JSON encoding of `label`.  A Split's owner and a tuple's
+    non-integer members are encoded by `encode`, this function by default."""
     # int members, the bulk of every label, are copied without a call
     if type(label) is int:
         return label
+    encode = encode or label_to_json
     if isinstance(label, Split):
-        return {"split": [label_to_json(label.owner), label.position]}
+        return {"split": [encode(label.owner), label.position]}
     if isinstance(label, tuple):
-        return [x if type(x) is int else label_to_json(x) for x in label]
+        return [x if type(x) is int else encode(x) for x in label]
     if isinstance(label, str):
         return {"str": label}
     raise TypeError(f"unsupported label type {type(label)}")
+
+
+class LabelCodes(dict):
+    """Label -> its JSON encoding, made by one `label_to_json` call on first
+    lookup, which looks up the owners and members inside it here too.  The
+    encodings are shared: a tree holding them is dumped, never edited."""
+
+    def __missing__(self, label):
+        code = self[label] = label if type(label) is int else label_to_json(label, self.__getitem__)
+        return code
 
 
 def label_from_json(obj):
@@ -184,11 +205,12 @@ def label_table():
 
 # ---------------------------------------------------------------- graphs
 
-def graph_to_json(g: SimpleGraph) -> dict:
+def graph_to_json(g: SimpleGraph, codes=None) -> dict:
+    codes = LabelCodes() if codes is None else codes
     return {
         "n": g.n,
         "edges": g.edges(),
-        "labels": {str(i): label_to_json(lab) for i, lab in enumerate(g.labels)},
+        "labels": {str(i): codes[lab] for i, lab in enumerate(g.labels)},
     }
 
 
@@ -218,15 +240,16 @@ def graph_to_dot(g: SimpleGraph, name: str = "G") -> str:
 
 # ---------------------------------------------------------------- embeddings
 
-def embedding_to_json(emb: MultiEmbedding) -> dict:
+def embedding_to_json(emb: MultiEmbedding, codes=None) -> dict:
+    codes = LabelCodes() if codes is None else codes
     return {
-        "vertices": {str(v): label_to_json(lab) for v, lab in emb.vertex_labels.items()},
+        "vertices": {str(v): codes[lab] for v, lab in emb.vertex_labels.items()},
         # tuples are written as arrays, so ends and darts go in uncopied
         "edges": {str(e): edge.ends for e, edge in emb.edges.items()},
         "rotations": {str(v): rot for v, rot in emb.rotation.items()},
         "signatures": {str(e): edge.sign for e, edge in emb.edges.items() if edge.sign != 1},
         "edge_labels": {
-            str(e): label_to_json(edge.label)
+            str(e): codes[edge.label]
             for e, edge in emb.edges.items()
             if edge.label is not None
         },
@@ -249,18 +272,17 @@ def embedding_from_json(obj: dict, label=label_from_json) -> MultiEmbedding:
 
 # ---------------------------------------------------------------- vortices
 
-def vortex_to_json(v) -> dict:
-    graph = graph_to_json(v.graph)
-    codes = list(graph["labels"].values())
+def vortex_to_json(v, codes=None) -> dict:
+    codes = LabelCodes() if codes is None else codes
+    graph = graph_to_json(v.graph, codes)
+    vertex_codes = list(graph["labels"].values())
     # each bag in the JSON-text order of its labels, one text per vertex
-    texts = [_ENCODER.encode(code) for code in codes]
-    index = v.graph.label_index
+    texts = ["".join(_TEXT(code, 0)) for code in vertex_codes]
     return {
         "graph": graph,
-        # a valid vortex's perimeter lies in its graph; a label outside it is encoded afresh
-        "perimeter": [codes[index[lab]] if lab in index else label_to_json(lab) for lab in v.perimeter],
+        "perimeter": [codes[lab] for lab in v.perimeter],
         "bags": {
-            str(pos): [codes[u] for u in sorted(bag, key=texts.__getitem__)]
+            str(pos): [vertex_codes[u] for u in sorted(bag, key=texts.__getitem__)]
             for pos, bag in enumerate(v.bags)
         },
     }
@@ -284,11 +306,11 @@ def vortex_from_json(obj: dict, label=label_from_json):
 
 
 def structure_to_json(a) -> dict:
-    # an apex ends most apex edges: each end is encoded once
-    codes = {lab: label_to_json(lab) for lab in {*a.apex, *chain.from_iterable(a.apex_edges)}}
+    # one table for the whole structure: each distinct label is encoded once
+    codes = LabelCodes()
     return {
-        "base": embedding_to_json(a.base),
-        "vortices": [vortex_to_json(v) for v in a.vortices],
+        "base": embedding_to_json(a.base, codes),
+        "vortices": [vortex_to_json(v, codes) for v in a.vortices],
         "disc_faces": [walk.incidences for walk in a.disc_faces],
         "apex": [codes[lab] for lab in a.apex],
         "apex_edges": [[codes[x], codes[y]] for x, y in a.apex_edges],

@@ -202,27 +202,4 @@ def flatten(a: AlmostEmbeddable) -> SimpleGraph:
     vortices in order, then apexes)."""
     parts = [a.base.simple]
     parts.extend(v.graph for v in a.vortices)
-    return add_apexes(graphs.union_by_labels(parts), a.apex, a.apex_edges)
-
-
-def add_apexes(host: SimpleGraph, apex, apex_edges) -> SimpleGraph:
-    """`host` plus the apex vertices, numbered after its own, and the apex
-    edges: a structure's flattening from that of its apex-free part."""
-    if not apex:
-        return host
-    labels = host.labels + tuple(apex)
-    index = dict(host.label_index)
-    index.update((lab, i) for i, lab in enumerate(apex, start=host.n))
-    try:
-        pairs = [(index[x], index[y]) for x, y in apex_edges]
-    except KeyError as exc:
-        raise ValueError(f"apex edge end {exc.args[0]!r} names no vertex") from None
-    loop = min((i for i, j in pairs if i == j), default=None)
-    if loop is not None:
-        raise ValueError(f"loop at {loop}")
-    adj = [set(a) for a in host.adj] + [set() for _ in apex]
-    for i, j in pairs:
-        adj[i].add(j)
-        adj[j].add(i)
-    return SimpleGraph(len(labels), tuple(map(frozenset, adj)), labels)
-
+    return graphs.union_by_labels(parts, a.apex, a.apex_edges)

@@ -569,7 +569,7 @@ PROBES = {
     "eta-witness-missing-dir": (["eta", "--witness", "missing/witness.json"], lambda build: {"n": 2, "edges": [[0, 1]]}, 2, "unwritable output"),
     "export-out-missing-dir": (["export", "--out", "missing/host.json"], lambda build: build((0, 1, 2, 0)), 2, "unwritable output"),
     # eta graphs
-    "eta-empty-host": (["eta"], lambda build: {"n": 0, "edges": []}, 2, "empty host"),
+    "eta-empty-host": (["eta"], lambda build: {"n": 0, "edges": []}, 2, "unreadable graph: graph has no vertex"),
     "eta-loop": (["eta"], lambda build: {"n": 2, "edges": [[0, 0]]}, 2, "loop at 0"),
     "eta-edge-out-of-range": (["eta"], lambda build: {"n": 2, "edges": [[0, 5]]}, 2, "leaves the vertex range"),
     "eta-edge-bool": (["eta"], lambda build: {"n": 2, "edges": [[True, 0]]}, 2, "graph edges is not a list of integer pairs"),
@@ -610,7 +610,7 @@ PROBES = {
     "disc-face-short-incidence": (["verify"], _edited((0, 1, 2, 0), (["structure", "disc_faces", 0, 0], [4])), 2, "disc_faces is not a list"),
     "disc-faces-none": (["verify"], _edited((0, 1, 2, 0), (["structure", "disc_faces"], [])), 2, "one disc face per vortex"),
     "perimeter-repeats": (["verify"], _edited((0, 1, 2, 0), (["structure", "vortices", 0, "perimeter", 1], lambda per: per[0])), 2, "perimeter repeats a vertex"),
-    "apex-edge-loop": (["verify"], _edited((0, 1, 2, 1), (["structure", "apex_edges", 0], [APEX, APEX])), 2, "loop at"),
+    "apex-edge-loop": (["verify"], _edited((0, 1, 2, 1), (["structure", "apex_edges", 0], [APEX, APEX])), 2, "apex edge loop at ('apex', 1)"),
     "apex-edge-unknown-end": (["verify"], _edited((0, 1, 2, 1), (["structure", "apex_edges", 0], [APEX, {"str": "nowhere"}])), 2, "nowhere"),
     "apex-named-as-base-vertex": (["verify"], _apex_named_as_base_vertex, 2, "labels not unique"),
     "label-unknown-encoding": (["verify"], _edited((0, 1, 2, 0), (["structure", "base", "edge_labels", "0"], {"foo": 1})), 2, "unknown label encoding"),

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import math
+from itertools import combinations
 
 import pytest
 import sympy
 
-from hadwiger import constructions, embeddings, minors, serialize, vortex
+from hadwiger import constructions, embeddings, graphs, minors, serialize, vortex
 from hadwiger.cli import main
 from hadwiger.errors import FacesNotDisjoint, GenusOutOfCatalog
 from oracles import as_sympy
@@ -182,6 +183,13 @@ def test_with_apex_branches():
     assert mixed.target == 4
     for cert in (high_genus, flat, mixed):
         assert constructions.verify_certificate(cert).ok
+
+
+@pytest.mark.parametrize("point", [(1, 2, 3, 1), (0, 4, 2, 0), (1, 1, 4, 0)])
+def test_vortex_graph_is_the_union_of_its_bag_cliques(point):
+    for v in constructions.with_apex(*point).structure.vortices:
+        cliques = {e for bag in v.bags for e in combinations(sorted(bag), 2)}
+        assert v.graph.adj == graphs.from_edges(v.graph.n, cliques).adj
 
 
 def test_with_apex_zero_is_the_family_certificate():

@@ -25,6 +25,7 @@ from hadwiger import serialize
 from hadwiger.cli import main
 from hadwiger.report import Report
 from test_cli import BAD_SHAPES, PROBES, WRONG_TYPES, _construct, _put, _verify_edited, run_probe
+from test_minors import petersen
 
 # Reached from perfbench/ only: tracing.py wraps max_clique, treewidth_oracle
 # and vortex_width by name, run.py times treewidth_oracle, which runs
@@ -88,6 +89,11 @@ def run_commands(tmp_path):
         assert main(["export", cert, "--out", str(tmp_path / "host.json")]) == 0
         assert main(["export", cert, "--format", "dot", "--out", str(tmp_path / "host.dot")]) == 0
     assert main(["eta", str(graph), "--witness", str(tmp_path / "witness.json")]) == 0
+    # on the wheel the contraction path meets the ceiling; on Petersen the
+    # depth-first search runs and finds the K5
+    graph.write_text(serialize.dumps(serialize.graph_to_json(petersen())))
+    assert main(["eta", str(graph), "--witness", str(tmp_path / "witness.json")]) == 0
+    assert json.loads((tmp_path / "witness.json").read_text())["pattern_n"] == 5
     assert main(["bounds", "--g", "1", "--p", "2", "--k", "3", "--a", "1", "--tw", "2"]) == 0
     assert main(["construct", "--g", "7", "--p", "1", "--k", "1"]) == 3
 

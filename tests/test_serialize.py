@@ -175,6 +175,39 @@ def test_certificate_load_decodes_each_distinct_label_once(monkeypatch, point):
     assert calls[0] == len(distinct)
 
 
+def _with_members(code):
+    """A label's encoding and, at every depth, those of a Split's owner and
+    of a tuple's members; ints left out."""
+    if type(code) is int:
+        return
+    yield code
+    if type(code) is list:
+        for x in code:
+            yield from _with_members(x)
+    elif "split" in code:
+        yield from _with_members(code["split"][0])
+
+
+@pytest.mark.parametrize("point", [(1, 2, 3, 1), (2, 4, 4, 0), (0, 16, 4, 0)])
+def test_certificate_dump_encodes_each_distinct_label_once(monkeypatch, point):
+    cert = constructions.with_apex(*point)
+    obj = json.loads(serialize.dumps(serialize.certificate_to_json(cert)))
+    entries = [x for x in _label_entries(obj["structure"]) if type(x) is not int]
+    distinct = {json.dumps(code) for x in entries for code in _with_members(x)}
+    assert len(distinct) < len(entries)
+    encode, calls = serialize.label_to_json, [0]
+
+    def counting(label, *args):
+        # an owner or member is encoded through this name too, and counted
+        # once whether it is met inside a label or as one
+        calls[0] += 1
+        return encode(label, *args)
+
+    monkeypatch.setattr(serialize, "label_to_json", counting)
+    serialize.certificate_to_json(cert)
+    assert calls[0] == len(distinct)
+
+
 def test_graph_round_trip():
     g = graphs.lex_product(graphs.grid_graph(2), 2)
     back = serialize.graph_from_json(serialize.graph_to_json(g))

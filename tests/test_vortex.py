@@ -128,7 +128,12 @@ def test_programming_error_in_the_genus_check_propagates(monkeypatch):
 def test_apex_label_equal_to_a_host_label_is_refused():
     host = graphs.from_edges(2, [(0, 1)], ("x", "y"))
     with pytest.raises(ValueError, match="labels not unique"):
-        vortex.add_apexes(host, ("y",), ())
+        graphs.union_by_labels([host], ("y",), ())
+    # an unknown end is refused first, then a loop, then the shared label
+    with pytest.raises(ValueError, match="end 'q' names no vertex"):
+        graphs.union_by_labels([host], ("y",), (("y", "y"), ("q", "x")))
+    with pytest.raises(ValueError, match="apex edge loop at 'y'"):
+        graphs.union_by_labels([host], ("y",), (("x", "y"), ("y", "y")))
 
 
 def test_tightened_declaration_fails_width():
